@@ -2,11 +2,14 @@
 // framework — LP solve, shallow-water step at several compute resolutions,
 // nest substep cycle, frame encode/decode, render, and decision latency.
 //
-// Before the google-benchmark suite runs, a self-checking kernel case
-// measures the restructured row kernels against the scalar reference,
-// verifies bitwise-identical digests across kernels and worker counts, and
-// writes the measurements to BENCH_kernels.json (--json=PATH overrides;
-// --quick runs only this case at smoke size).
+// Before the google-benchmark suite runs, two self-checking cases write
+// their measurements to BENCH_kernels.json (--json=PATH overrides; --quick
+// runs only these cases at smoke size): the kernel case measures the
+// restructured row kernels against the scalar reference and verifies
+// bitwise-identical digests across kernels and worker counts; the
+// forcing_step case measures one parent step of storm forcing with the
+// nest geometry rebuilt per sub-step versus built once and reused, and
+// verifies both give identical digests.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -14,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <sstream>
+#include <vector>
 
 #include "bench_report.hpp"
 #include "core/greedy_threshold.hpp"
@@ -368,6 +372,114 @@ int run_kernel_report(benchio::BenchReport& report, bool quick) {
   return failures;
 }
 
+// --- Forcing geometry reuse (BENCH_kernels.json) ----------------------
+
+std::uint64_t field_digest(std::uint64_t h, const Field2D& f) {
+  return fnv1a_bytes(h, f.data().data(), f.size() * sizeof(double));
+}
+
+/// One domain's forcing outputs.
+struct ForcingOut {
+  Field2D q, fu, fv, relax;
+  std::uint64_t digest(std::uint64_t h) const {
+    for (const Field2D* f : {&q, &fu, &fv, &relax}) h = field_digest(h, *f);
+    return h;
+  }
+};
+
+/// The forcing work of one parent step: the parent once, then the nest's
+/// kNestRatio sub-steps, each on its own flow state. With `split` the nest
+/// geometry is built once and applied per sub-step (as WeatherModel::step
+/// does); without, every sub-step calls build_forcing. Returns the digest
+/// of every output.
+std::uint64_t forcing_step(const CyclonePhysics& phys,
+                           const DomainState& parent,
+                           const Field2D& parent_land,
+                           const std::vector<DomainState>& nest_states,
+                           const Field2D& nest_land, bool split,
+                           ForcingGeometry& geometry, ForcingOut& out) {
+  std::uint64_t h = 1469598103934665603ull;
+  phys.build_forcing(parent, parent_land, out.q, out.fu, out.fv, out.relax);
+  h = out.digest(h);
+  if (split) {
+    phys.build_forcing_geometry(nest_states.front().grid, nest_land, geometry,
+                                out.relax);
+  }
+  for (const DomainState& s : nest_states) {
+    if (split) {
+      phys.apply_forcing(geometry, s, out.q, out.fu, out.fv);
+    } else {
+      phys.build_forcing(s, nest_land, out.q, out.fu, out.fv, out.relax);
+    }
+    h = out.digest(h);
+  }
+  return h;
+}
+
+/// Times forcing_step both ways on the default parent grid (96 km compute)
+/// and an 8 km-modeled nest (32 km compute) around a mature storm, appends
+/// the rows to `report`, and returns 1 if the two digests differ. The speed
+/// is reported, not gated.
+int run_forcing_report(benchio::BenchReport& report, bool quick) {
+  const LatLon eye{15.0, 88.0};
+  const CyclonePhysics phys(PhysicsConfig{}, 30.0, eye);
+  const HollandVortex storm{
+      .center = eye, .deficit_hpa = 30.0, .r_max_km = 70.0, .b = 1.5};
+  DomainState parent(GridSpec(60.0, -10.0, 60.0, 50.0, 96.0));
+  storm.deposit(parent);
+  const Field2D parent_land = land_mask(parent.grid);
+  const GridSpec nest_grid(eye.lon - 4.5, eye.lat - 4.5, 9.0, 9.0, 32.0);
+  std::vector<DomainState> nest_states;
+  for (int k = 0; k < kNestRatio; ++k) {
+    DomainState s(nest_grid);
+    HollandVortex sub = storm;
+    sub.deficit_hpa += 0.5 * k;  // each sub-step sees a different flow
+    sub.deposit(s);
+    nest_states.push_back(std::move(s));
+  }
+  const Field2D nest_land = land_mask(nest_grid);
+
+  const int steps = quick ? 20 : 200;
+  const int reps = quick ? 3 : 5;
+  ForcingGeometry geometry;
+  ForcingOut out;
+  double seconds[2] = {1e300, 1e300};
+  std::uint64_t digests[2] = {0, 0};
+  for (int rep = 0; rep < reps; ++rep) {
+    for (const bool split : {false, true}) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int k = 0; k < steps; ++k) {
+        digests[split] = forcing_step(phys, parent, parent_land, nest_states,
+                                      nest_land, split, geometry, out);
+      }
+      const auto t1 = std::chrono::steady_clock::now();
+      seconds[split] =
+          std::min(seconds[split],
+                   std::chrono::duration<double>(t1 - t0).count() / steps);
+    }
+  }
+  const double speedup = seconds[0] / seconds[1];
+  const bool digests_match = digests[0] == digests[1];
+  const char* cell = "96km+32km-nest";
+  report.add("forcing_step", cell, "build_forcing_x4_seconds", seconds[0],
+             "s");
+  report.add("forcing_step", cell, "geometry_reuse_seconds", seconds[1], "s");
+  report.add("forcing_step", cell, "speedup", speedup, "x");
+  report.add("forcing_step", cell, "digest_match", digests_match ? 1.0 : 0.0,
+             "flag");
+  std::printf("forcing_step %s: build_forcing x4 %.3g s, geometry reuse "
+              "%.3g s, speedup %.2fx, digests %s\n",
+              cell, seconds[0], seconds[1], speedup,
+              digests_match ? "match" : "DIVERGE");
+  if (!digests_match) {
+    std::fprintf(stderr,
+                 "FAIL: reused forcing geometry diverges from per-sub-step "
+                 "build_forcing\n");
+    return 1;
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -376,7 +488,8 @@ int main(int argc, char** argv) {
       args.json_path.empty() ? "BENCH_kernels.json" : args.json_path;
 
   benchio::BenchReport report;
-  const int failures = run_kernel_report(report, args.quick);
+  const int failures = run_kernel_report(report, args.quick) +
+                       run_forcing_report(report, args.quick);
   report.save(json_path);
   std::printf("wrote %s (%zu rows)\n", json_path.c_str(),
               report.rows().size());

@@ -134,11 +134,16 @@ SimSeconds WeatherModel::step() {
   forcing.steering_u = analysis_.config().steering.u(sim_time_);
   forcing.steering_v = analysis_.config().steering.v(sim_time_);
   if (storm_active) {
-    physics_.build_forcing(parent_, parent_land_, parent_q_, parent_fu_,
-                           parent_fv_, parent_relax_);
-    forcing.mass_tendency = &parent_q_;
-    forcing.u_tendency = &parent_fu_;
-    forcing.v_tendency = &parent_fv_;
+    // The parent applies its geometry once, so in place: its tendencies
+    // overwrite the targets, and the nest rebuilds the scratch below.
+    ForcingGeometry& geo = forcing_geometry_;
+    physics_.build_forcing_geometry(parent_.grid, parent_land_, geo,
+                                    parent_relax_);
+    physics_.apply_forcing(geo, parent_, geo.h_target, geo.u_target,
+                           geo.v_target);
+    forcing.mass_tendency = &geo.h_target;
+    forcing.u_tendency = &geo.u_target;
+    forcing.v_tendency = &geo.v_target;
     forcing.relaxation = &parent_relax_;
   }
   solver_.step(parent_, dt, forcing);
@@ -148,15 +153,21 @@ SimSeconds WeatherModel::step() {
     nf.steering_u = forcing.steering_u;
     nf.steering_v = forcing.steering_v;
     const double ndt = dt / kNestRatio;
+    // The storm's centre and intensity move only in physics_.advance below,
+    // so one geometry serves all the nest's sub-steps.
+    if (storm_active) {
+      physics_.build_forcing_geometry(nest_->grid(), nest_land_,
+                                      forcing_geometry_, nest_relax_);
+      nf.mass_tendency = &nest_q_;
+      nf.u_tendency = &nest_fu_;
+      nf.v_tendency = &nest_fv_;
+      nf.relaxation = &nest_relax_;
+    }
     for (int k = 0; k < kNestRatio; ++k) {
       nest_->apply_boundary(parent_);
       if (storm_active) {
-        physics_.build_forcing(nest_->state(), nest_land_, nest_q_, nest_fu_,
-                               nest_fv_, nest_relax_);
-        nf.mass_tendency = &nest_q_;
-        nf.u_tendency = &nest_fu_;
-        nf.v_tendency = &nest_fv_;
-        nf.relaxation = &nest_relax_;
+        physics_.apply_forcing(forcing_geometry_, nest_->state(), nest_q_,
+                               nest_fu_, nest_fv_);
       }
       solver_.step(nest_->state(), ndt, nf);
     }

@@ -149,8 +149,11 @@ class WeatherModel {
   CycloneTracker tracker_;
   CyclonePhysics physics_;
 
-  // Scratch forcing fields reused across steps.
-  Field2D parent_q_, parent_fu_, parent_fv_, parent_relax_;
+  // Scratch forcing fields reused across steps. The geometry is rebuilt for
+  // the parent (whose tendencies then take its place) and again for the
+  // nest inside every step(), so it carries no state between steps.
+  ForcingGeometry forcing_geometry_;
+  Field2D parent_relax_;
   Field2D nest_q_, nest_fu_, nest_fv_, nest_relax_;
 };
 

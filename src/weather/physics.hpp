@@ -44,6 +44,19 @@ struct PhysicsConfig {
   double holland_b = 1.5;
 };
 
+/// The flow-independent half of one domain's storm forcing, per point:
+/// the relaxation weight `w` toward the balanced Holland target (exactly 0
+/// outside the storm core, where no target forcing applies) and the target
+/// height and winds themselves. It depends only on the grid and on the
+/// storm's centre and intensity, which move only in CyclonePhysics::advance,
+/// so one geometry serves every sub-step of a parent step.
+struct ForcingGeometry {
+  Field2D w;
+  Field2D h_target;
+  Field2D u_target;
+  Field2D v_target;
+};
+
 class CyclonePhysics {
  public:
   CyclonePhysics(PhysicsConfig config, double initial_deficit_hpa,
@@ -79,9 +92,27 @@ class CyclonePhysics {
   /// away as gravity waves, so the momentum field must be forced in balance
   /// with it — plus `relaxation` (1/s) combining land friction with
   /// far-field analysis nudging. `land` must be the domain's land_mask().
+  /// Equivalent to build_forcing_geometry followed by apply_forcing; each
+  /// output of the wrong shape is resized on its own.
   void build_forcing(const DomainState& state, const Field2D& land,
                      Field2D& mass_tendency, Field2D& u_tendency,
                      Field2D& v_tendency, Field2D& relaxation) const;
+
+  /// The flow-independent half of build_forcing on grid `g`: fills
+  /// `geometry` and writes `relaxation` (which never depends on the flow).
+  /// Fields of the wrong shape are resized.
+  void build_forcing_geometry(const GridSpec& g, const Field2D& land,
+                              ForcingGeometry& geometry,
+                              Field2D& relaxation) const;
+
+  /// The flow-dependent half: the tendencies relaxing `state` toward the
+  /// geometry's targets. `geometry` must have been built on state.grid for
+  /// the current storm; the result is bitwise what build_forcing gives.
+  /// Point by point, so a geometry applied only once may take its own
+  /// h/u/v_target fields as the outputs.
+  void apply_forcing(const ForcingGeometry& geometry, const DomainState& state,
+                     Field2D& mass_tendency, Field2D& u_tendency,
+                     Field2D& v_tendency) const;
 
   [[nodiscard]] const PhysicsConfig& config() const { return config_; }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 namespace adaptviz {
 namespace {
@@ -135,6 +136,194 @@ TEST(Forcing, ShapeMismatchRejected) {
   Field2D q, fu, fv, relax;
   EXPECT_THROW(phys.build_forcing(s, land, q, fu, fv, relax),
                std::invalid_argument);
+}
+
+// Regression: a caller whose mass_tendency already had the grid's shape but
+// whose other outputs did not used to get writes past their ends. Each
+// output is now shaped on its own (run under ASan to see the old bug).
+TEST(Forcing, ShapesEveryOutputOnItsOwn) {
+  CyclonePhysics phys(PhysicsConfig{}, 20.0, kBay);
+  GridSpec g(80.0, 5.0, 18.0, 18.0, 100.0);
+  DomainState s(g);
+  const Field2D land = land_mask(g);
+  Field2D q(g.nx(), g.ny()), fu, fv(3, 3), relax(g.nx() + 1, g.ny());
+  phys.build_forcing(s, land, q, fu, fv, relax);
+  for (const Field2D* f : {&q, &fu, &fv, &relax}) {
+    EXPECT_EQ(f->nx(), g.nx());
+    EXPECT_EQ(f->ny(), g.ny());
+  }
+  Field2D q2, fu2, fv2, relax2;
+  phys.build_forcing(s, land, q2, fu2, fv2, relax2);
+  EXPECT_EQ(q, q2);
+  EXPECT_EQ(fu, fu2);
+  EXPECT_EQ(fv, fv2);
+  EXPECT_EQ(relax, relax2);
+
+  // The split entry points shape their outputs the same way.
+  ForcingGeometry geometry;
+  geometry.w = Field2D(g.nx(), g.ny());
+  Field2D relax3(1, 1);
+  phys.build_forcing_geometry(g, land, geometry, relax3);
+  EXPECT_EQ(relax3, relax);
+  Field2D q3(g.nx(), g.ny()), fu3(2, 2), fv3;
+  phys.apply_forcing(geometry, s, q3, fu3, fv3);
+  EXPECT_EQ(q3, q);
+  EXPECT_EQ(fu3, fu);
+  EXPECT_EQ(fv3, fv);
+}
+
+TEST(Forcing, ApplyRejectsGeometryOfAnotherGrid) {
+  CyclonePhysics phys(PhysicsConfig{}, 20.0, kBay);
+  GridSpec g(80.0, 5.0, 18.0, 18.0, 100.0);
+  GridSpec other(80.0, 5.0, 10.0, 10.0, 100.0);
+  ForcingGeometry geometry;
+  Field2D relax;
+  phys.build_forcing_geometry(other, land_mask(other), geometry, relax);
+  DomainState s(g);
+  Field2D q, fu, fv;
+  EXPECT_THROW(phys.apply_forcing(geometry, s, q, fu, fv),
+               std::invalid_argument);
+}
+
+bool bitwise_equal(const Field2D& a, const Field2D& b) {
+  return a.nx() == b.nx() && a.ny() == b.ny() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(double)) == 0;
+}
+
+/// A flow state that differs per `seed`, with h > 0 and h < 0 regions so
+/// a product by w = 0 would yield -0.0 somewhere.
+DomainState flow_state(const GridSpec& g, int seed) {
+  DomainState s(g);
+  for (std::size_t j = 0; j < g.ny(); ++j) {
+    for (std::size_t i = 0; i < g.nx(); ++i) {
+      const double x = static_cast<double>(i) + seed;
+      const double y = static_cast<double>(j) - 2.0 * seed;
+      s.h(i, j) = 40.0 * std::sin(0.11 * x + 0.07 * y) - 5.0 * seed;
+      s.u(i, j) = 6.0 * std::cos(0.05 * x * y / (1.0 + seed));
+      s.v(i, j) = -3.0 + 0.01 * x * seed - 0.02 * y;
+    }
+  }
+  return s;
+}
+
+/// Nest-shaped physics: a small eye (r_max 30 km) on a ~6-degree, 12-km
+/// grid puts the w = 1e-4 cut-off (~386 km) between the grid's edge
+/// midpoints and its corners, with the storm centre exactly on a grid point.
+struct NestCase {
+  NestCase() : phys(small_eye(), 30.0, kBay), g(85.0, 11.0, 6.0, 6.0, 12.0) {
+    ci = g.nx() / 2;
+    cj = g.ny() / 2;
+    phys.restore(30.0, g.at(ci, cj));
+  }
+  static PhysicsConfig small_eye() {
+    PhysicsConfig cfg;
+    cfg.r_max0_km = 30.0;
+    cfg.r_shrink_km_per_hpa = 0.0;
+    cfg.r_floor_km = 20.0;
+    return cfg;
+  }
+  CyclonePhysics phys;
+  GridSpec g;
+  std::size_t ci = 0;
+  std::size_t cj = 0;
+};
+
+TEST(Forcing, GeometryOnceApplyThriceEqualsBuildForcingThrice) {
+  NestCase nc;
+  const GridSpec& g = nc.g;
+  const Field2D land = land_mask(g);
+
+  ForcingGeometry geometry;
+  Field2D relax;
+  nc.phys.build_forcing_geometry(g, land, geometry, relax);
+
+  // The case covers what it claims: r = 0 at the centre, and points on
+  // both sides of the cut-off.
+  ASSERT_EQ(distance_km(g.at(nc.ci, nc.cj), nc.phys.center()), 0.0);
+  EXPECT_EQ(geometry.w(nc.ci, nc.cj), 1.0);
+  EXPECT_EQ(geometry.u_target(nc.ci, nc.cj), 0.0);
+  std::size_t core = 0;
+  std::size_t outside = 0;
+  for (double w : geometry.w.data()) (w != 0.0 ? core : outside)++;
+  EXPECT_GT(core, 0u);
+  EXPECT_GT(outside, 0u);
+
+  Field2D q, fu, fv;
+  Field2D q_ref, fu_ref, fv_ref, relax_ref;
+  for (int seed = 0; seed < 3; ++seed) {
+    const DomainState s = flow_state(g, seed);
+    nc.phys.apply_forcing(geometry, s, q, fu, fv);
+    nc.phys.build_forcing(s, land, q_ref, fu_ref, fv_ref, relax_ref);
+    EXPECT_TRUE(bitwise_equal(q, q_ref)) << "seed " << seed;
+    EXPECT_TRUE(bitwise_equal(fu, fu_ref)) << "seed " << seed;
+    EXPECT_TRUE(bitwise_equal(fv, fv_ref)) << "seed " << seed;
+    EXPECT_TRUE(bitwise_equal(relax, relax_ref)) << "seed " << seed;
+  }
+
+  // A last application may take the geometry's own targets as its outputs,
+  // as the parent domain does in WeatherModel::step.
+  nc.phys.apply_forcing(geometry, flow_state(g, 2), geometry.h_target,
+                        geometry.u_target, geometry.v_target);
+  EXPECT_TRUE(bitwise_equal(geometry.h_target, q_ref));
+  EXPECT_TRUE(bitwise_equal(geometry.u_target, fu_ref));
+  EXPECT_TRUE(bitwise_equal(geometry.v_target, fv_ref));
+}
+
+// Live oracle: the split forcing equals, bit for bit, the per-point formula
+// it was hoisted from (distance, weight, targets and relaxation evaluated
+// from GridSpec::at at every point), including +0.0 outside the core.
+TEST(Forcing, SplitMatchesPerPointFormula) {
+  NestCase nc;
+  const GridSpec& g = nc.g;
+  const CyclonePhysics& phys = nc.phys;
+  const PhysicsConfig& cfg = phys.config();
+  const Field2D land = land_mask(g);
+  const DomainState s = flow_state(g, 1);
+  Field2D q, fu, fv, relax;
+  phys.build_forcing(s, land, q, fu, fv, relax);
+
+  const LatLon c = phys.center();
+  const HollandVortex target = phys.target_vortex(g.resolution_km());
+  const double inv_tau = 1.0 / (cfg.mass_relax_tau_hours * 3600.0);
+  const double inv_tau_fric = 1.0 / (cfg.land_friction_tau_hours * 3600.0);
+  const double inv_tau_nudge = 1.0 / (cfg.nudge_tau_hours * 3600.0);
+  const double storm_radius = 5.0 * target.r_max_km;
+  const double sigma2 = 2.0 * 9.0 * target.r_max_km * target.r_max_km;
+  const double fcor = coriolis(c.lat);
+  const double deg2rad = 3.14159265358979 / 180.0;
+  Field2D q_ref(g.nx(), g.ny()), fu_ref(g.nx(), g.ny()),
+      fv_ref(g.nx(), g.ny()), relax_ref(g.nx(), g.ny());
+  for (std::size_t j = 0; j < g.ny(); ++j) {
+    for (std::size_t i = 0; i < g.nx(); ++i) {
+      const LatLon p = g.at(i, j);
+      const double r = distance_km(p, c);
+      const double w = std::exp(-(r * r) / sigma2);
+      if (w > 1e-4) {
+        q_ref(i, j) = w * (target.height_anomaly_m(r) - s.h(i, j)) * inv_tau;
+        double ut = 0.0;
+        double vt = 0.0;
+        if (r > 1.0) {
+          const double vt_mag = target.balanced_tangential_wind(r, fcor);
+          const double coslat = std::cos(0.5 * (p.lat + c.lat) * deg2rad);
+          const double dx = (p.lon - c.lon) * kKmPerDegree * coslat;
+          const double dy = (p.lat - c.lat) * kKmPerDegree;
+          ut = vt_mag * (-dy / r);
+          vt = vt_mag * (dx / r);
+        }
+        fu_ref(i, j) = w * (ut - s.u(i, j)) * inv_tau;
+        fv_ref(i, j) = w * (vt - s.v(i, j)) * inv_tau;
+      }
+      const double w_storm =
+          std::exp(-(r * r) / (2.0 * storm_radius * storm_radius));
+      relax_ref(i, j) =
+          land(i, j) * inv_tau_fric + (1.0 - w_storm) * inv_tau_nudge;
+    }
+  }
+  EXPECT_TRUE(bitwise_equal(q, q_ref));
+  EXPECT_TRUE(bitwise_equal(fu, fu_ref));
+  EXPECT_TRUE(bitwise_equal(fv, fv_ref));
+  EXPECT_TRUE(bitwise_equal(relax, relax_ref));
 }
 
 TEST(Physics, ConstructorValidates) {

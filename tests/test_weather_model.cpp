@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "weather/domain_io.hpp"
 
@@ -174,6 +175,60 @@ TEST(WeatherModel, DeterministicForFixedConfig) {
   }
   EXPECT_DOUBLE_EQ(a.min_pressure_hpa(), b.min_pressure_hpa());
   EXPECT_DOUBLE_EQ(a.eye().lat, b.eye().lat);
+}
+
+std::uint64_t fnv1a_bytes(std::uint64_t h, const void* p, std::size_t n) {
+  const unsigned char* b = static_cast<const unsigned char*>(p);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= b[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::uint64_t fnv1a_field(std::uint64_t h, const Field2D& f) {
+  return fnv1a_bytes(h, f.data().data(), f.size() * sizeof(double));
+}
+
+std::uint64_t fnv1a_double(std::uint64_t h, double v) {
+  return fnv1a_bytes(h, &v, sizeof v);
+}
+
+/// Digest of everything one forced step writes: parent and nest h/u/v plus
+/// the intensity ODE's deficit and prognostic storm centre.
+std::uint64_t weather_digest(const WeatherModel& m) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const DomainState* s : {&m.parent_state(), &m.nest()->state()}) {
+    h = fnv1a_field(h, s->h);
+    h = fnv1a_field(h, s->u);
+    h = fnv1a_field(h, s->v);
+  }
+  h = fnv1a_double(h, m.physics().deficit_hpa());
+  h = fnv1a_double(h, m.physics().center().lat);
+  h = fnv1a_double(h, m.physics().center().lon);
+  return h;
+}
+
+// Pins WeatherModel::step bit for bit with the storm forcing on and the
+// nest stepping its three forced sub-steps, on the default compute grids
+// (whose parent straddles the forcing's w = 1e-4 cut-off). Captured before
+// the forcing geometry was split from its flow-dependent part; a change here
+// is a change to the model's numbers, not a refactor.
+constexpr std::uint64_t kGoldenForcedNestSteps = 0x253ea8cee1543ee3ull;
+
+TEST(WeatherModel, ForcedNestStepsMatchGoldenDigest) {
+  WeatherModel m{ModelConfig{}};
+  int steps = 0;
+  while (!m.nest_active()) {
+    m.step();
+    ASSERT_LT(++steps, 1000) << "nest never spawned";
+  }
+  for (int k = 0; k < 150; ++k) m.step();
+  ASSERT_TRUE(m.nest_active());
+  EXPECT_GT(m.physics().deficit_hpa(), 2.0);  // forcing stayed on
+  EXPECT_EQ(weather_digest(m), kGoldenForcedNestSteps)
+      << std::hex << weather_digest(m) << " after " << std::dec << steps
+      << " steps to nest spawn";
 }
 
 }  // namespace
