@@ -6,7 +6,8 @@
 // their measurements to BENCH_kernels.json (--json=PATH overrides; --quick
 // runs only these cases at smoke size): the kernel case measures the
 // restructured row kernels against the scalar reference and verifies
-// bitwise-identical digests across kernels and worker counts; the
+// bitwise-identical digests across kernels and worker counts, unforced and
+// with all four forcing terms; the
 // forcing_step case measures one parent step of storm forcing with the
 // nest geometry rebuilt per sub-step versus built once and reused, and
 // verifies both give identical digests.
@@ -296,16 +297,49 @@ double seconds_per_step(const DomainState& init, SwKernel kernel, int threads,
 }
 
 std::uint64_t digest_after_steps(const DomainState& init, SwKernel kernel,
-                                 int threads, int steps) {
+                                 int threads, int steps,
+                                 const SwForcing& forcing) {
   SwParams params;
   params.kernel = kernel;
   params.threads = threads;
   DomainState s = init;
   SwSolver solver(params);
   const double dt = SwSolver::dt_for_resolution_km(init.grid.resolution_km());
-  for (int k = 0; k < steps; ++k) solver.step(s, dt, SwForcing{});
+  for (int k = 0; k < steps; ++k) solver.step(s, dt, forcing);
   return state_digest(s);
 }
+
+/// All four optional forcing terms on `g`, shaped like the storm forcing
+/// the model applies: mass and momentum tendencies near the centre,
+/// relaxation everywhere (land friction plus far-field nudging). Fields are
+/// members so the SwForcing pointers stay valid.
+struct ProductionForcing {
+  explicit ProductionForcing(const GridSpec& g)
+      : q(g.nx(), g.ny()), fu(g.nx(), g.ny()), fv(g.nx(), g.ny()),
+        relax(g.nx(), g.ny()) {
+    const double cx = 0.5 * static_cast<double>(g.nx());
+    const double cy = 0.5 * static_cast<double>(g.ny());
+    for (std::size_t j = 0; j < g.ny(); ++j) {
+      for (std::size_t i = 0; i < g.nx(); ++i) {
+        const double dx = static_cast<double>(i) - cx;
+        const double dy = static_cast<double>(j) - cy;
+        const double w = std::exp(-(dx * dx + dy * dy) / 50.0);
+        q(i, j) = -2e-4 * w;
+        fu(i, j) = 3e-6 * dy * w;
+        fv(i, j) = -3e-6 * dx * w;
+        relax(i, j) = (i % 7 == 0 ? 1.0 / 21600.0 : 0.0) + (1.0 - w) / 86400.0;
+      }
+    }
+    forcing.steering_u = -3.0;
+    forcing.steering_v = 1.5;
+    forcing.mass_tendency = &q;
+    forcing.u_tendency = &fu;
+    forcing.v_tendency = &fv;
+    forcing.relaxation = &relax;
+  }
+  Field2D q, fu, fv, relax;
+  SwForcing forcing;
+};
 
 /// Runs the kernel case, appends its rows to `report`, and returns the
 /// number of hard failures (digest mismatch anywhere; speedup below the
@@ -328,22 +362,38 @@ int run_kernel_report(benchio::BenchReport& report, bool quick) {
   report.add("kernel_step", "96km", "speedup", speedup, "x");
 
   // Bitwise determinism: the row kernels must reproduce the scalar
-  // reference exactly, at every worker count.
+  // reference exactly, at every worker count — unforced, and with all four
+  // forcing terms as WeatherModel::step passes them (the fused kernel
+  // instantiation the production path runs).
   const int digest_steps = 10;
-  const std::uint64_t golden =
-      digest_after_steps(init, SwKernel::kScalarReference, 1, digest_steps);
-  bool digests_match = true;
-  for (const int threads : {1, 2, 8}) {
-    digests_match &= digest_after_steps(init, SwKernel::kRowKernel, threads,
-                                        digest_steps) == golden;
-  }
+  const ProductionForcing forced(g);
+  auto digests_match_with = [&](const SwForcing& forcing) {
+    const std::uint64_t golden = digest_after_steps(
+        init, SwKernel::kScalarReference, 1, digest_steps, forcing);
+    bool match = true;
+    for (const int threads : {1, 2, 8}) {
+      match &= digest_after_steps(init, SwKernel::kRowKernel, threads,
+                                  digest_steps, forcing) == golden;
+    }
+    return match;
+  };
+  const bool digests_match = digests_match_with(SwForcing{});
+  const bool forced_digests_match = digests_match_with(forced.forcing);
   report.add("kernel_step", "96km", "digest_match",
              digests_match ? 1.0 : 0.0, "flag");
+  report.add("kernel_step", "96km", "forced_digest_match",
+             forced_digests_match ? 1.0 : 0.0, "flag");
 
   int failures = 0;
   if (!digests_match) {
     std::fprintf(stderr,
                  "FAIL: row kernel digests diverge from the scalar "
+                 "reference\n");
+    ++failures;
+  }
+  if (!forced_digests_match) {
+    std::fprintf(stderr,
+                 "FAIL: forced row kernel digests diverge from the scalar "
                  "reference\n");
     ++failures;
   }
@@ -359,10 +409,11 @@ int run_kernel_report(benchio::BenchReport& report, bool quick) {
   report.add("kernel_step", "96km", "speedup_floor_enforced",
              enforce_speedup ? 1.0 : 0.0, "flag");
   std::printf("kernel_step 96km: scalar %.3g s/step, row %.3g s/step, "
-              "speedup %.2fx (floor %s), digests %s\n",
+              "speedup %.2fx (floor %s), digests %s, forced digests %s\n",
               scalar_s, row_s, speedup,
               enforce_speedup ? "enforced" : "report-only",
-              digests_match ? "match" : "DIVERGE");
+              digests_match ? "match" : "DIVERGE",
+              forced_digests_match ? "match" : "DIVERGE");
   if (enforce_speedup && speedup < 1.5) {
     std::fprintf(stderr,
                  "FAIL: row-kernel speedup %.2fx is below the 1.5x floor\n",

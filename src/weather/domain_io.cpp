@@ -43,12 +43,17 @@ DomainState decode_domain(const NclFile& f, const std::string& prefix) {
                    attr_double(f, prefix + "_extent_lon"),
                    attr_double(f, prefix + "_extent_lat"),
                    attr_double(f, prefix + "_resolution_km"));
-  DomainState s(g);
+  // Check the stored fields against the grid before allocating it, so a
+  // hostile grid size fails here instead of in a huge allocation.
   for (const char* name : {"h", "u", "v"}) {
     const NclVariable& v = f.variable(prefix + "_" + std::string(name));
     if (v.data.size() != g.point_count()) {
       throw std::runtime_error("ncl: field size mismatch for " + prefix);
     }
+  }
+  DomainState s(g);
+  for (const char* name : {"h", "u", "v"}) {
+    const NclVariable& v = f.variable(prefix + "_" + std::string(name));
     (name[0] == 'h'   ? s.h
      : name[0] == 'u' ? s.u
                       : s.v)

@@ -1,9 +1,11 @@
 #include "weather/dynamics.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -12,12 +14,14 @@
 // Bitwise determinism contract. Both tendency kernels (SwKernel) and both
 // RK3 update kernels below evaluate the same per-point expression in the
 // same order, so the fast paths round identically to the scalar reference:
-// the only transformations applied are branch hoisting (moving `if (f.x)`
-// out of the inner loop into separate row passes) and contiguous-span
-// addressing — neither reassociates floating-point arithmetic. Vector lanes
-// execute the same IEEE ops as scalar code, and the weather library is
-// built with -ffp-contract=off (see src/weather/CMakeLists.txt) so no FMA
-// contraction can split the two paths even under -march=native.
+// the only transformations applied are branch hoisting (resolving each
+// `if (f.x)` once per call into a template instantiation of the fused row
+// kernel) and contiguous-span addressing — neither reassociates
+// floating-point arithmetic. Vector lanes execute the same IEEE ops as
+// scalar code at any width, so the AVX2 clones (ADAPTVIZ_TARGET_CLONES)
+// round like the SSE2 ones; the weather library is built with
+// -ffp-contract=off (see src/weather/CMakeLists.txt) so no FMA contraction
+// can split the paths even under -march=native.
 
 namespace adaptviz {
 namespace {
@@ -34,20 +38,26 @@ void dispatch_rows(const SwParams& p, std::size_t begin, std::size_t end,
   }
 }
 
-// One interior row of the shallow-water tendency stencil, branch-free over
-// raw spans: hm/hc/hp are rows j-1/j/j+1 of h (likewise u, v), odh/odu/odv
-// the output row. Every expression matches the scalar reference bit for
-// bit; only the addressing and branch placement differ. A free function
-// with restrict parameters rather than a lambda body because that is the
-// shape GCC's loop vectorizer handles without runtime alias versioning.
-inline void stencil_interior_row(
+// One interior row of the shallow-water tendency, branch-free over raw
+// spans: hm/hc/hp are rows j-1/j/j+1 of h (likewise u, v), odh/odu/odv the
+// output row, q/fu/fv/r the rows of whichever optional forcing terms the
+// template flags switch on (unused pointers may be null). Per point it
+// evaluates the stencil, then adds q/fu/fv, then subtracts r*x — the order
+// the scalar reference accumulates in, so every output rounds to the same
+// bits. A free function with restrict parameters rather than a lambda body
+// because that is the shape GCC's loop vectorizer handles without runtime
+// alias versioning.
+template <bool kMass, bool kU, bool kV, bool kRelax>
+ADAPTVIZ_TARGET_CLONES void interior_row(
     std::size_t nx, const double* ADAPTVIZ_RESTRICT hm,
     const double* ADAPTVIZ_RESTRICT hc, const double* ADAPTVIZ_RESTRICT hp,
     const double* ADAPTVIZ_RESTRICT um, const double* ADAPTVIZ_RESTRICT uc,
     const double* ADAPTVIZ_RESTRICT up, const double* ADAPTVIZ_RESTRICT vm,
     const double* ADAPTVIZ_RESTRICT vc, const double* ADAPTVIZ_RESTRICT vp,
     double* ADAPTVIZ_RESTRICT odh, double* ADAPTVIZ_RESTRICT odu,
-    double* ADAPTVIZ_RESTRICT odv, double fcor, double su, double sv,
+    double* ADAPTVIZ_RESTRICT odv, const double* ADAPTVIZ_RESTRICT q,
+    const double* ADAPTVIZ_RESTRICT fu, const double* ADAPTVIZ_RESTRICT fv,
+    const double* ADAPTVIZ_RESTRICT r, double fcor, double su, double sv,
     double inv2dx, double nu_invdx2, double grav, double hbar, double dx) {
   for (std::size_t i = 1; i + 1 < nx; ++i) {
     const double ua = uc[i] + su;
@@ -67,8 +77,8 @@ inline void stencil_interior_row(
     const double lap_h =
         (hc[i + 1] + hc[i - 1] + hp[i] + hm[i] - 4.0 * hc[i]) * nu_invdx2;
 
-    odu[i] = -ua * u_x - va * u_y + fcor * vc[i] - grav * h_x + lap_u;
-    odv[i] = -ua * v_x - va * v_y - fcor * uc[i] - grav * h_y + lap_v;
+    double du = -ua * u_x - va * u_y + fcor * vc[i] - grav * h_x + lap_u;
+    double dv = -ua * v_x - va * v_y - fcor * uc[i] - grav * h_y + lap_v;
 
     // Flux-form mass continuity: -div((H+h) * (u_total)).
     const double depth_e = hbar + 0.5 * (hc[i + 1] + hc[i]);
@@ -79,22 +89,45 @@ inline void stencil_interior_row(
     const double flux_w = depth_w * 0.5 * (uc[i - 1] + uc[i] + 2.0 * su);
     const double flux_n = depth_n * 0.5 * (vp[i] + vc[i] + 2.0 * sv);
     const double flux_s = depth_s * 0.5 * (vm[i] + vc[i] + 2.0 * sv);
-    odh[i] = -((flux_e - flux_w) + (flux_n - flux_s)) / dx + lap_h;
+    double dh = -((flux_e - flux_w) + (flux_n - flux_s)) / dx + lap_h;
+
+    if constexpr (kMass) dh += q[i];
+    if constexpr (kU) du += fu[i];
+    if constexpr (kV) dv += fv[i];
+    if constexpr (kRelax) {
+      du -= r[i] * uc[i];
+      dv -= r[i] * vc[i];
+      dh -= r[i] * hc[i];
+    }
+    odu[i] = du;
+    odv[i] = dv;
+    odh[i] = dh;
   }
 }
+
+using InteriorRowFn = decltype(&interior_row<false, false, false, false>);
+
+// interior_row for each subset of optional terms, indexed by the presence
+// mask bit 0 = mass, 1 = u, 2 = v, 3 = relaxation.
+template <std::size_t... M>
+constexpr std::array<InteriorRowFn, sizeof...(M)> make_interior_rows(
+    std::index_sequence<M...>) {
+  return {&interior_row<(M & 1) != 0, (M & 2) != 0, (M & 4) != 0,
+                        (M & 8) != 0>...};
+}
+constexpr std::array<InteriorRowFn, 16> kInteriorRows =
+    make_interior_rows(std::make_index_sequence<16>{});
 
 // RK3 stage update dst = src + a * tend over [lo, hi). All nine spans are
 // pairwise disjoint (dst is a stage buffer distinct from the source state),
 // so every pointer carries the no-alias promise.
-inline void rk3_axpy(double* ADAPTVIZ_RESTRICT dh, double* ADAPTVIZ_RESTRICT du,
-                     double* ADAPTVIZ_RESTRICT dv,
-                     const double* ADAPTVIZ_RESTRICT h0,
-                     const double* ADAPTVIZ_RESTRICT u0,
-                     const double* ADAPTVIZ_RESTRICT v0,
-                     const double* ADAPTVIZ_RESTRICT th,
-                     const double* ADAPTVIZ_RESTRICT tu,
-                     const double* ADAPTVIZ_RESTRICT tv, double a,
-                     std::size_t lo, std::size_t hi) {
+ADAPTVIZ_TARGET_CLONES void rk3_axpy(
+    double* ADAPTVIZ_RESTRICT dh, double* ADAPTVIZ_RESTRICT du,
+    double* ADAPTVIZ_RESTRICT dv, const double* ADAPTVIZ_RESTRICT h0,
+    const double* ADAPTVIZ_RESTRICT u0, const double* ADAPTVIZ_RESTRICT v0,
+    const double* ADAPTVIZ_RESTRICT th, const double* ADAPTVIZ_RESTRICT tu,
+    const double* ADAPTVIZ_RESTRICT tv, double a, std::size_t lo,
+    std::size_t hi) {
   for (std::size_t idx = lo; idx < hi; ++idx) {
     dh[idx] = h0[idx] + a * th[idx];
     du[idx] = u0[idx] + a * tu[idx];
@@ -105,13 +138,11 @@ inline void rk3_axpy(double* ADAPTVIZ_RESTRICT dh, double* ADAPTVIZ_RESTRICT du,
 // Final RK3 stage: destination IS the source state, so the update runs in
 // place (x += a*t rounds identically to x = x + a*t). Tendency spans stay
 // restrict-qualified — they never alias the state.
-inline void rk3_axpy_inplace(double* ADAPTVIZ_RESTRICT dh,
-                             double* ADAPTVIZ_RESTRICT du,
-                             double* ADAPTVIZ_RESTRICT dv,
-                             const double* ADAPTVIZ_RESTRICT th,
-                             const double* ADAPTVIZ_RESTRICT tu,
-                             const double* ADAPTVIZ_RESTRICT tv, double a,
-                             std::size_t lo, std::size_t hi) {
+ADAPTVIZ_TARGET_CLONES void rk3_axpy_inplace(
+    double* ADAPTVIZ_RESTRICT dh, double* ADAPTVIZ_RESTRICT du,
+    double* ADAPTVIZ_RESTRICT dv, const double* ADAPTVIZ_RESTRICT th,
+    const double* ADAPTVIZ_RESTRICT tu, const double* ADAPTVIZ_RESTRICT tv,
+    double a, std::size_t lo, std::size_t hi) {
   for (std::size_t idx = lo; idx < hi; ++idx) {
     dh[idx] += a * th[idx];
     du[idx] += a * tu[idx];
@@ -248,52 +279,32 @@ void SwSolver::compute_tendency(const DomainState& s, const SwForcing& f,
     }
   };  // reference_rows
 
-  // Row-kernel path: per row, a branch-free interior stencil over raw
-  // spans, then hoisted passes for whichever optional terms are active,
-  // then the sponge as precomputed boundary bands.
+  // Row-kernel path: per row, one fused interior kernel covering the
+  // stencil and whichever optional terms are active, then the sponge as
+  // precomputed boundary bands.
+  const unsigned terms = (f.mass_tendency != nullptr ? 1u : 0u) |
+                         (f.u_tendency != nullptr ? 2u : 0u) |
+                         (f.v_tendency != nullptr ? 4u : 0u) |
+                         (f.relaxation != nullptr ? 8u : 0u);
+  const InteriorRowFn interior = kInteriorRows[terms];
+  auto row_of = [](const Field2D* field, std::size_t j) -> const double* {
+    return field != nullptr ? field->row(j) : nullptr;
+  };
   auto row_kernel_rows = [&](std::size_t j_begin, std::size_t j_end) {
     const std::size_t last = nx - 1;
     for (std::size_t j = j_begin; j < j_end; ++j) {
-      const double fcor = frow[j];
-      const double* hm = s.h.row(j - 1);
-      const double* hc = s.h.row(j);
-      const double* hp = s.h.row(j + 1);
-      const double* um = s.u.row(j - 1);
       const double* uc = s.u.row(j);
-      const double* up = s.u.row(j + 1);
-      const double* vm = s.v.row(j - 1);
       const double* vc = s.v.row(j);
-      const double* vp = s.v.row(j + 1);
+      const double* hc = s.h.row(j);
       double* ADAPTVIZ_RESTRICT odh = out.dh.row(j);
       double* ADAPTVIZ_RESTRICT odu = out.du.row(j);
       double* ADAPTVIZ_RESTRICT odv = out.dv.row(j);
 
-      stencil_interior_row(nx, hm, hc, hp, um, uc, up, vm, vc, vp, odh, odu,
-                           odv, fcor, su, sv, inv2dx, nu_invdx2, grav, hbar,
-                           dx);
-
-      // Optional terms, one hoisted elementwise pass each, in the same
-      // accumulation order the reference applies per point.
-      if (f.mass_tendency != nullptr) {
-        const double* q = f.mass_tendency->row(j);
-        for (std::size_t i = 1; i < last; ++i) odh[i] += q[i];
-      }
-      if (f.u_tendency != nullptr) {
-        const double* fu = f.u_tendency->row(j);
-        for (std::size_t i = 1; i < last; ++i) odu[i] += fu[i];
-      }
-      if (f.v_tendency != nullptr) {
-        const double* fv = f.v_tendency->row(j);
-        for (std::size_t i = 1; i < last; ++i) odv[i] += fv[i];
-      }
-      if (f.relaxation != nullptr) {
-        const double* r = f.relaxation->row(j);
-        for (std::size_t i = 1; i < last; ++i) {
-          odu[i] -= r[i] * uc[i];
-          odv[i] -= r[i] * vc[i];
-          odh[i] -= r[i] * hc[i];
-        }
-      }
+      interior(nx, s.h.row(j - 1), hc, s.h.row(j + 1), s.u.row(j - 1), uc,
+               s.u.row(j + 1), s.v.row(j - 1), vc, s.v.row(j + 1), odh, odu,
+               odv, row_of(f.mass_tendency, j), row_of(f.u_tendency, j),
+               row_of(f.v_tendency, j), row_of(f.relaxation, j), frow[j], su,
+               sv, inv2dx, nu_invdx2, grav, hbar, dx);
 
       if (sponge_on) {
         const std::size_t W = static_cast<std::size_t>(w);

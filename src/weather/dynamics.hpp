@@ -37,9 +37,10 @@ struct SwForcing {
 /// identical fields — the regression tests step them side by side — so the
 /// scalar loop doubles as the living correctness oracle for the fast path.
 enum class SwKernel {
-  /// Contiguous row kernels: branch-free interior stencil over raw
-  /// ADAPTVIZ_RESTRICT spans, optional forcing/relaxation as hoisted row
-  /// passes, sponge applied by precomputed boundary bands. The default.
+  /// Contiguous row kernels: one branch-free interior kernel over raw
+  /// ADAPTVIZ_RESTRICT spans, instantiated per subset of optional
+  /// forcing/relaxation terms and cloned for AVX2 at runtime, then the
+  /// sponge applied by precomputed boundary bands. The default.
   kRowKernel,
   /// The original per-point scalar loop with per-point branches. Kept as
   /// the baseline for bench_micro's kernel speedup case and as the bitwise

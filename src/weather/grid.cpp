@@ -2,11 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "numerics/interpolation.hpp"
 
 namespace adaptviz {
+
+namespace {
+
+// Points along one axis: extent / spacing cells plus one, at least 2.
+std::size_t axis_points(double extent_deg, double res_deg) {
+  const double cells = extent_deg / res_deg;
+  // lround is defined only where the result fits a long.
+  if (!(cells < static_cast<double>(std::numeric_limits<long>::max()))) {
+    throw std::invalid_argument("GridSpec: too many points along an axis");
+  }
+  return std::max<std::size_t>(
+      2, static_cast<std::size_t>(std::lround(cells)) + 1);
+}
+
+}  // namespace
 
 GridSpec::GridSpec(double lon0, double lat0, double extent_lon_deg,
                    double extent_lat_deg, double resolution_km)
@@ -15,14 +31,23 @@ GridSpec::GridSpec(double lon0, double lat0, double extent_lon_deg,
       ext_lon_(extent_lon_deg),
       ext_lat_(extent_lat_deg),
       res_km_(resolution_km) {
+  // Also reached from checkpoint attributes (decode_domain): a NaN fails
+  // every comparison, so test finiteness rather than `<= 0` alone.
+  for (const double v :
+       {lon0, lat0, extent_lon_deg, extent_lat_deg, resolution_km}) {
+    if (!std::isfinite(v)) {
+      throw std::invalid_argument("GridSpec: non-finite origin or extent");
+    }
+  }
   if (extent_lon_deg <= 0 || extent_lat_deg <= 0 || resolution_km <= 0) {
     throw std::invalid_argument("GridSpec: extents and resolution must be > 0");
   }
   const double res_deg = resolution_km / kKmPerDegree;
-  nx_ = std::max<std::size_t>(
-      2, static_cast<std::size_t>(std::lround(extent_lon_deg / res_deg)) + 1);
-  ny_ = std::max<std::size_t>(
-      2, static_cast<std::size_t>(std::lround(extent_lat_deg / res_deg)) + 1);
+  nx_ = axis_points(extent_lon_deg, res_deg);
+  ny_ = axis_points(extent_lat_deg, res_deg);
+  if (ny_ > std::numeric_limits<std::size_t>::max() / nx_) {
+    throw std::invalid_argument("GridSpec: point count overflows size_t");
+  }
 }
 
 LatLon GridSpec::at(std::size_t i, std::size_t j) const {

@@ -19,6 +19,29 @@
 #define ADAPTVIZ_RESTRICT __restrict__
 #endif
 
+/// Runtime ISA dispatch for the hot row kernels: on x86-64 GCC/Clang the
+/// compiler emits an AVX2 and a baseline clone of the function and the
+/// loader picks one for the CPU it runs on, so the default build (no
+/// -march) still runs 4-wide on AVX2 hardware. The clones are bitwise
+/// interchangeable: the kernels are elementwise IEEE ops, the `avx2` target
+/// does not enable FMA, and the weather library is built with
+/// -ffp-contract=off. Empty elsewhere, and under ThreadSanitizer: GCC
+/// instruments the clone resolvers with TSan entry hooks, which the loader
+/// runs before the TSan runtime is initialized (the program crashes).
+#if defined(__SANITIZE_THREAD__)
+#define ADAPTVIZ_TSAN_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define ADAPTVIZ_TSAN_BUILD 1
+#endif
+#endif
+#if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__) && \
+    !defined(ADAPTVIZ_TSAN_BUILD)
+#define ADAPTVIZ_TARGET_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define ADAPTVIZ_TARGET_CLONES
+#endif
+
 namespace adaptviz {
 
 /// Kilometres per degree of latitude (and of longitude at the equator on the

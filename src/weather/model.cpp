@@ -163,8 +163,11 @@ SimSeconds WeatherModel::step() {
       nf.v_tendency = &nest_fv_;
       nf.relaxation = &nest_relax_;
     }
+    // The parent does not change until feedback, so one sampling of it
+    // serves the boundary blend of every sub-step.
+    nest_->sample_boundary(parent_);
     for (int k = 0; k < kNestRatio; ++k) {
-      nest_->apply_boundary(parent_);
+      nest_->blend_boundary();
       if (storm_active) {
         physics_.apply_forcing(forcing_geometry_, nest_->state(), nest_q_,
                                nest_fu_, nest_fv_);

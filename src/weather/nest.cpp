@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "numerics/interpolation.hpp"
+#include "obs/obs.hpp"
 
 namespace adaptviz {
 namespace {
@@ -18,6 +19,26 @@ void sample_state(const DomainState& src, LatLon p, double& h, double& u,
   h = bicubic(src.h.data(), g.nx(), g.ny(), x, y);
   u = bilinear(src.u.data(), g.nx(), g.ny(), x, y);
   v = bilinear(src.v.data(), g.nx(), g.ny(), x, y);
+}
+
+// Calls fn(i, j, d) for every point of `g` whose distance d to the nearest
+// edge is below `w`, row by row, skipping each interior row's middle.
+template <typename Fn>
+void for_each_band_point(const GridSpec& g, std::size_t w, Fn&& fn) {
+  const std::size_t nx = g.nx();
+  const std::size_t ny = g.ny();
+  for (std::size_t j = 0; j < ny; ++j) {
+    const std::size_t dj = std::min(j, ny - 1 - j);
+    for (std::size_t i = 0; i < nx; ++i) {
+      const std::size_t d = std::min(std::min(i, nx - 1 - i), dj);
+      if (d >= w) {
+        // Here w <= i <= nx - 1 - w: resume at the right band.
+        i = nx - 1 - w;
+        continue;
+      }
+      fn(i, j, d);
+    }
+  }
 }
 
 }  // namespace
@@ -65,31 +86,48 @@ void NestDomain::fill_from(const DomainState& src) {
 }
 
 void NestDomain::apply_boundary(const DomainState& parent, int width) {
+  sample_boundary(parent, width);
+  blend_boundary();
+}
+
+void NestDomain::sample_boundary(const DomainState& parent, int width) {
+  static thread_local obs::HotHistogram boundary_hist("weather.nest_boundary");
+  obs::ScopedSpan span("weather.nest_boundary", boundary_hist);
   const GridSpec& g = state_.grid;
-  const std::size_t w = static_cast<std::size_t>(std::max(1, width));
-  for (std::size_t j = 0; j < g.ny(); ++j) {
-    for (std::size_t i = 0; i < g.nx(); ++i) {
-      const std::size_t d = std::min(std::min(i, g.nx() - 1 - i),
-                                     std::min(j, g.ny() - 1 - j));
-      if (d >= w) {
-        // Interior: skip the whole middle of the row quickly.
-        if (j >= w && j < g.ny() - w && i == w) {
-          i = g.nx() - w - 1;
-        }
-        continue;
-      }
-      double h, u, v;
-      sample_state(parent, g.at(i, j), h, u, v);
-      // Blend: pure parent at the edge, pure nest at depth w.
-      const double f = static_cast<double>(d) / static_cast<double>(w);
-      state_.h(i, j) = f * state_.h(i, j) + (1.0 - f) * h;
-      state_.u(i, j) = f * state_.u(i, j) + (1.0 - f) * u;
-      state_.v(i, j) = f * state_.v(i, j) + (1.0 - f) * v;
-    }
+  band_width_ = static_cast<std::size_t>(std::max(1, width));
+  band_grid_ = g;
+  band_samples_.clear();
+  for_each_band_point(g, band_width_,
+                      [&](std::size_t i, std::size_t j, std::size_t) {
+                        double h, u, v;
+                        sample_state(parent, g.at(i, j), h, u, v);
+                        band_samples_.insert(band_samples_.end(), {h, u, v});
+                      });
+}
+
+void NestDomain::blend_boundary() {
+  if (band_grid_ != state_.grid) {
+    throw std::logic_error("NestDomain: no boundary samples for this grid");
   }
+  static thread_local obs::HotHistogram boundary_hist("weather.nest_boundary");
+  obs::ScopedSpan span("weather.nest_boundary", boundary_hist);
+  const double w = static_cast<double>(band_width_);
+  const double* sample = band_samples_.data();
+  for_each_band_point(
+      state_.grid, band_width_,
+      [&](std::size_t i, std::size_t j, std::size_t d) {
+        // Blend: pure parent at the edge, pure nest at depth w.
+        const double f = static_cast<double>(d) / w;
+        state_.h(i, j) = f * state_.h(i, j) + (1.0 - f) * sample[0];
+        state_.u(i, j) = f * state_.u(i, j) + (1.0 - f) * sample[1];
+        state_.v(i, j) = f * state_.v(i, j) + (1.0 - f) * sample[2];
+        sample += 3;
+      });
 }
 
 void NestDomain::feedback(DomainState& parent, int exclude_width) const {
+  static thread_local obs::HotHistogram feedback_hist("weather.nest_feedback");
+  obs::ScopedSpan span("weather.nest_feedback", feedback_hist);
   const GridSpec& ng = state_.grid;
   const GridSpec& pg = parent.grid;
   // Interior box of the nest in geographic coordinates.

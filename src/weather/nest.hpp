@@ -12,7 +12,9 @@
 // elsewhere.
 #pragma once
 
+#include <cstddef>
 #include <optional>
+#include <vector>
 
 #include "weather/grid.hpp"
 #include "weather/state.hpp"
@@ -37,8 +39,19 @@ class NestDomain {
   [[nodiscard]] double extent_deg() const { return extent_deg_; }
 
   /// Overwrites the nest's boundary band (outer `width` points) with values
-  /// interpolated from the parent.
+  /// interpolated from the parent: sample_boundary, then blend_boundary.
   void apply_boundary(const DomainState& parent, int width = 3);
+
+  /// Samples the parent at every point of the boundary band (bicubic h,
+  /// bilinear u/v) into a reused buffer. The samples depend only on the
+  /// parent and the nest grid, so one sampling serves every sub-step of a
+  /// parent step.
+  void sample_boundary(const DomainState& parent, int width = 3);
+
+  /// Blends the last sampled parent values into the boundary band: pure
+  /// parent at the edge, pure nest at depth `width`. Throws
+  /// std::logic_error if nothing was sampled on the current grid.
+  void blend_boundary();
 
   /// Restricts the nest interior onto overlapping parent points (two-way
   /// feedback). The boundary band is excluded.
@@ -64,6 +77,12 @@ class NestDomain {
 
   DomainState state_;
   double extent_deg_;
+  // Parent h/u/v at each boundary-band point in band order, and the band
+  // width and nest grid they were sampled for: step scratch, not
+  // checkpoint state.
+  std::vector<double> band_samples_;
+  std::size_t band_width_ = 0;
+  GridSpec band_grid_;  // default-constructed: nothing sampled yet
 };
 
 }  // namespace adaptviz

@@ -141,9 +141,10 @@ void CyclonePhysics::build_forcing_geometry(const GridSpec& g,
       double v_t = 0.0;
       if (w > 1e-4) {
         w_core = w;
-        h_t = target.height_anomaly_m(r);
+        const HollandVortex::Profile prof = target.profile(r, fcor);
+        h_t = prof.height_m;
         if (r > 1.0) {
-          const double vt_mag = target.balanced_tangential_wind(r, fcor);
+          const double vt_mag = prof.wind_ms;
           const double dx = dlon_km[i] * cos_wind;
           u_t = vt_mag * (-dy / r);
           v_t = vt_mag * (dx / r);

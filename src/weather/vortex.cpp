@@ -39,6 +39,28 @@ double HollandVortex::balanced_tangential_wind(double r_km, double f) const {
   return v;
 }
 
+HollandVortex::Profile HollandVortex::profile(double r_km, double f) const {
+  // height_anomaly_m: -deficit * (1 - exp(-(Rm/r)^B)) / kHpaPerMetre.
+  const double ratio_h = r_max_km / std::max(r_km, 1e-3);
+  const double x_h = std::pow(ratio_h, b);
+  const double e_h = std::exp(-x_h);
+  const double height = -deficit_hpa * (1.0 - e_h) / kHpaPerMetre;
+
+  // balanced_tangential_wind, expression for expression. Its ratio is in
+  // metres and floors r at 1 km, but wherever it rounds to ratio_h the
+  // pow and exp arguments are the same doubles, hence so are the results.
+  const double r_m = std::max(r_km, 1.0) * 1000.0;
+  const double ratio_w = (r_max_km * 1000.0) / r_m;
+  const double d_m = deficit_hpa / kHpaPerMetre;
+  const bool same = ratio_w == ratio_h;
+  const double x = same ? x_h : std::pow(ratio_w, b);
+  const double e = same ? e_h : std::exp(-x);
+  const double dhdr = d_m * e * b * x / r_m;
+  const double g = 9.81;
+  const double fr2 = 0.5 * std::fabs(f) * r_m;
+  return Profile{height, -fr2 + std::sqrt(fr2 * fr2 + g * r_m * dhdr)};
+}
+
 void HollandVortex::deposit(DomainState& state) const {
   const GridSpec& grid = state.grid;
   for (std::size_t j = 0; j < grid.ny(); ++j) {
@@ -46,9 +68,9 @@ void HollandVortex::deposit(DomainState& state) const {
       const LatLon p = grid.at(i, j);
       const double r = distance_km(p, center);
       if (r > 12.0 * r_max_km) continue;  // negligible beyond
-      state.h(i, j) += height_anomaly_m(r);
-      const double f = coriolis(center.lat);
-      const double vt = balanced_tangential_wind(r, f);
+      const Profile prof = profile(r, coriolis(center.lat));
+      state.h(i, j) += prof.height_m;
+      const double vt = prof.wind_ms;
       if (r > 1.0) {
         // Unit tangential vector (counterclockwise = cyclonic, NH).
         const double mean_lat = 0.5 * (p.lat + center.lat) * 3.14159265 / 180.0;

@@ -31,6 +31,15 @@ struct HollandVortex {
   /// radius r for Coriolis parameter f: v^2/r + f*v = g * d(h)/dr.
   [[nodiscard]] double balanced_tangential_wind(double r_km, double f) const;
 
+  struct Profile {
+    double height_m;  // height_anomaly_m(r_km)
+    double wind_ms;   // balanced_tangential_wind(r_km, f)
+  };
+  /// Both profiles at one radius, bitwise equal to the two reference
+  /// functions above. Where the two formulas' (Rm/r) ratios round to the
+  /// same double, the wind reuses the height's pow and exp.
+  [[nodiscard]] Profile profile(double r_km, double f) const;
+
   /// Adds the vortex (height depression + balanced cyclonic winds) onto a
   /// domain state in place.
   void deposit(DomainState& state) const;

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "weather/vortex.hpp"
 
@@ -345,13 +346,22 @@ TEST_P(KernelRegression, ScalarReferenceMatchesPreRefactorGoldens) {
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, KernelRegression,
                          testing::Values(1, 2, 8));
 
-// Live oracle: the two kernels stepped side by side stay bitwise equal on
-// a grid narrow enough to hit the banded-sponge fallback path too.
+// Live oracle: the two kernels stepped side by side stay bitwise equal for
+// every subset of the optional terms {mass, u, v, relaxation} — each one a
+// distinct instantiation of the fused row kernel — on a grid narrow enough
+// to hit the banded-sponge fallback path and on a wide grid whose interior
+// width is not a multiple of any vector width, so the vector tails run.
 TEST(KernelRegression, RowKernelBitwiseEqualsReferenceOnNarrowGrid) {
   // 6x6 points at 400 km: narrower than 2*sponge_width+2, so the sponge
   // bands would overlap and the row path must take its per-point fallback.
+  const std::size_t banded_min_nx =
+      2 * static_cast<std::size_t>(SwParams{}.sponge_width) + 2;
   GridSpec narrow(75.0, 4.0, 20.0, 20.0, 400.0);
-  ASSERT_LT(narrow.nx(), 2 * static_cast<std::size_t>(SwParams{}.sponge_width) + 2);
+  ASSERT_LT(narrow.nx(), banded_min_nx);
+  // 23x23 points at 100 km: 21 interior points per row.
+  GridSpec wide = test_grid();
+  ASSERT_GE(wide.nx(), banded_min_nx);
+  ASSERT_NE((wide.nx() - 2) % 8, 0u);
 
   SwParams row_params;
   SwParams ref_params;
@@ -359,27 +369,39 @@ TEST(KernelRegression, RowKernelBitwiseEqualsReferenceOnNarrowGrid) {
   SwSolver row_solver(row_params);
   SwSolver ref_solver(ref_params);
 
-  auto seed_state = [&] {
-    DomainState s(narrow);
-    for (std::size_t j = 0; j < narrow.ny(); ++j)
-      for (std::size_t i = 0; i < narrow.nx(); ++i) {
-        s.h(i, j) = 0.3 * static_cast<double>((i * 7 + j * 3) % 5) - 0.5;
-        s.u(i, j) = 0.1 * static_cast<double>(i) - 0.2 * static_cast<double>(j);
-        s.v(i, j) = 0.05 * static_cast<double>((i + 2 * j) % 4);
+  for (const GridSpec& grid : {narrow, wide}) {
+    auto seed_state = [&] {
+      DomainState s(grid);
+      for (std::size_t j = 0; j < grid.ny(); ++j)
+        for (std::size_t i = 0; i < grid.nx(); ++i) {
+          s.h(i, j) = 0.3 * static_cast<double>((i * 7 + j * 3) % 5) - 0.5;
+          s.u(i, j) =
+              0.1 * static_cast<double>(i) - 0.2 * static_cast<double>(j);
+          s.v(i, j) = 0.05 * static_cast<double>((i + 2 * j) % 4);
+        }
+      return s;
+    };
+    FullForcingFixture fix(grid);
+    const double dt = SwSolver::dt_for_resolution_km(grid.resolution_km());
+    for (unsigned terms = 0; terms < 16; ++terms) {
+      SCOPED_TRACE("nx " + std::to_string(grid.nx()) + ", terms mask " +
+                   std::to_string(terms));
+      SwForcing forcing = fix.forcing;
+      if ((terms & 1u) == 0) forcing.mass_tendency = nullptr;
+      if ((terms & 2u) == 0) forcing.u_tendency = nullptr;
+      if ((terms & 4u) == 0) forcing.v_tendency = nullptr;
+      if ((terms & 8u) == 0) forcing.relaxation = nullptr;
+      DomainState a = seed_state();
+      DomainState b = seed_state();
+      for (int k = 0; k < 5; ++k) {
+        row_solver.step(a, dt, forcing);
+        ref_solver.step(b, dt, forcing);
       }
-    return s;
-  };
-  DomainState a = seed_state();
-  DomainState b = seed_state();
-  FullForcingFixture fix(narrow);
-  const double dt = SwSolver::dt_for_resolution_km(400.0);
-  for (int k = 0; k < 5; ++k) {
-    row_solver.step(a, dt, fix.forcing);
-    ref_solver.step(b, dt, fix.forcing);
+      EXPECT_EQ(a.h, b.h);
+      EXPECT_EQ(a.u, b.u);
+      EXPECT_EQ(a.v, b.v);
+    }
   }
-  EXPECT_EQ(a.h, b.h);
-  EXPECT_EQ(a.u, b.u);
-  EXPECT_EQ(a.v, b.v);
 }
 
 TEST(Dynamics, Validation) {

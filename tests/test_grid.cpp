@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "weather/domain_io.hpp"
+
 namespace adaptviz {
 namespace {
 
@@ -39,6 +43,33 @@ TEST(GridSpec, Contains) {
 TEST(GridSpec, Validation) {
   EXPECT_THROW(GridSpec(0, 0, -1.0, 10.0, 10.0), std::invalid_argument);
   EXPECT_THROW(GridSpec(0, 0, 10.0, 10.0, 0.0), std::invalid_argument);
+  // Non-finite inputs. NaN passes `extent <= 0`; unchecked, it derives a
+  // point count of 2^63 + 1.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(GridSpec(60, -10, nan, 50, 100), std::invalid_argument);
+  EXPECT_THROW(GridSpec(60, -10, 60, nan, 100), std::invalid_argument);
+  EXPECT_THROW(GridSpec(60, -10, 60, 50, nan), std::invalid_argument);
+  EXPECT_THROW(GridSpec(nan, -10, 60, 50, 100), std::invalid_argument);
+  EXPECT_THROW(GridSpec(60, inf, 60, 50, 100), std::invalid_argument);
+  EXPECT_THROW(GridSpec(60, -10, inf, 50, 100), std::invalid_argument);
+  EXPECT_THROW(GridSpec(60, -10, 60, 50, inf), std::invalid_argument);
+  // Finite but absurd: an axis count past what lround can return, and a
+  // pair of axis counts whose product wraps size_t.
+  EXPECT_THROW(GridSpec(0, 0, 10.0, 10.0, 1e-300), std::invalid_argument);
+  EXPECT_THROW(GridSpec(0, 0, 1e9, 1e9, 1e-3), std::invalid_argument);
+  // The largest grids the model uses still build.
+  EXPECT_NO_THROW(GridSpec(60, -10, 60, 50, 1.0));
+}
+
+TEST(DomainIo, DecodeRejectsNonFiniteExtent) {
+  DomainState s(GridSpec(60, -10, 60, 50, 500.0));
+  NclFile f;
+  encode_domain(f, "parent", s);
+  EXPECT_NO_THROW(decode_domain(f, "parent"));
+  f.set_attribute("parent_extent_lon",
+                  std::numeric_limits<double>::quiet_NaN());
+  EXPECT_THROW(decode_domain(f, "parent"), std::invalid_argument);
 }
 
 TEST(Field2D, IndexingAndStats) {

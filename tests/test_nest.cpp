@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
+#include "numerics/interpolation.hpp"
+#include "weather/dynamics.hpp"
 #include "weather/vortex.hpp"
 
 namespace adaptviz {
@@ -71,6 +76,82 @@ TEST(Nest, BoundaryBlendsTowardParent) {
                                             parent.grid.y_of_lat(pe.lat));
   EXPECT_NEAR(edge, parent_val, 1.0);
   EXPECT_NEAR(nest.state().h(g.nx() / 2, g.ny() / 2), 123.0, 1e-9);
+}
+
+// The boundary update as one per-point loop (sample the parent, then blend
+// toward it), kept as a literal oracle for sample_boundary/blend_boundary.
+void reference_apply_boundary(DomainState& nest, const DomainState& parent,
+                              std::size_t w) {
+  const GridSpec& g = nest.grid;
+  const GridSpec& pg = parent.grid;
+  for (std::size_t j = 0; j < g.ny(); ++j) {
+    for (std::size_t i = 0; i < g.nx(); ++i) {
+      const std::size_t d = std::min(std::min(i, g.nx() - 1 - i),
+                                     std::min(j, g.ny() - 1 - j));
+      if (d >= w) continue;
+      const LatLon p = g.at(i, j);
+      const double x = pg.x_of_lon(p.lon);
+      const double y = pg.y_of_lat(p.lat);
+      const double h = bicubic(parent.h.data(), pg.nx(), pg.ny(), x, y);
+      const double u = bilinear(parent.u.data(), pg.nx(), pg.ny(), x, y);
+      const double v = bilinear(parent.v.data(), pg.nx(), pg.ny(), x, y);
+      const double f = static_cast<double>(d) / static_cast<double>(w);
+      nest.h(i, j) = f * nest.h(i, j) + (1.0 - f) * h;
+      nest.u(i, j) = f * nest.u(i, j) + (1.0 - f) * u;
+      nest.v(i, j) = f * nest.v(i, j) + (1.0 - f) * v;
+    }
+  }
+}
+
+// WeatherModel::step samples the parent once per parent step and blends on
+// each sub-step; that must be bitwise what re-sampling the unchanged parent
+// on every sub-step (apply_boundary, and the literal per-point loop) gives.
+TEST(Nest, SampleOnceThenBlendMatchesApplyBoundary) {
+  const DomainState parent = parent_with_vortex({14.0, 88.5});
+  NestDomain resampled(parent, LatLon{14.5, 87.0}, 9.0);
+  // Move the nest away from the parent so the blend has work to do.
+  for (std::size_t k = 0; k < resampled.state().h.size(); ++k) {
+    resampled.state().h.data()[k] += 0.01 * static_cast<double>(k % 97);
+    resampled.state().u.data()[k] -= 0.003 * static_cast<double>(k % 31);
+    resampled.state().v.data()[k] += 0.002 * static_cast<double>(k % 13);
+  }
+  NestDomain sampled_once = resampled;
+  DomainState literal = resampled.state();
+  const SwSolver solver;
+  const double ndt =
+      SwSolver::dt_for_resolution_km(resampled.grid().resolution_km());
+
+  sampled_once.sample_boundary(parent);
+  for (int k = 0; k < kNestRatio; ++k) {
+    resampled.apply_boundary(parent);
+    sampled_once.blend_boundary();
+    reference_apply_boundary(literal, parent, 3);
+    for (const DomainState* s : {&resampled.state(), &literal}) {
+      EXPECT_EQ(s->h, sampled_once.state().h) << "sub-step " << k;
+      EXPECT_EQ(s->u, sampled_once.state().u) << "sub-step " << k;
+      EXPECT_EQ(s->v, sampled_once.state().v) << "sub-step " << k;
+    }
+    solver.step(resampled.state(), ndt, SwForcing{});
+    solver.step(sampled_once.state(), ndt, SwForcing{});
+    solver.step(literal, ndt, SwForcing{});
+  }
+}
+
+TEST(Nest, BlendNeedsSamplesForTheCurrentGrid) {
+  const DomainState parent = parent_with_vortex({14.0, 88.5});
+  NestDomain nest(parent, LatLon{14.0, 88.5}, 9.0);
+  EXPECT_THROW(nest.blend_boundary(), std::logic_error);
+  nest.sample_boundary(parent);
+  EXPECT_NO_THROW(nest.blend_boundary());
+  nest.recenter(parent, LatLon{16.0, 88.5});
+  EXPECT_THROW(nest.blend_boundary(), std::logic_error);
+  // Samples belong to the grid they were taken on, not to the state.
+  nest.sample_boundary(parent);
+  nest.restore_state(DomainState(nest.grid()));
+  EXPECT_NO_THROW(nest.blend_boundary());
+  const NestDomain elsewhere(parent, LatLon{11.0, 85.0}, 9.0);
+  nest.restore_state(DomainState(elsewhere.grid()));
+  EXPECT_THROW(nest.blend_boundary(), std::logic_error);
 }
 
 TEST(Nest, FeedbackWritesInteriorOntoParent) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 namespace adaptviz {
 namespace {
@@ -101,6 +105,39 @@ TEST(Holland, DepositIsLocal) {
   // Far corner untouched.
   EXPECT_DOUBLE_EQ(s.h(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(s.u(g.nx() - 1, g.ny() - 1), 0.0);
+}
+
+// profile() against the two reference formulas, bit for bit, over radii
+// in both the r <= 1e-3 and r <= 1 km floors and across the storm, where
+// the height's (Rm/r) ratio and the wind's metre-scaled ratio sometimes
+// round to the same double (shared pow/exp) and sometimes do not.
+TEST(Holland, ProfileMatchesReferenceFormulasBitwise) {
+  auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  std::vector<double> radii = {0.0, 1e-4, 1e-3, 2e-3, 0.25, 0.999, 1.0};
+  for (int k = 1; k <= 4000; ++k) radii.push_back(0.3137 * k);
+  int shared = 0;
+  int separate = 0;
+  for (const HollandVortex& v :
+       {aila_like(), HollandVortex{.center = LatLon{14.0, 88.5},
+                                   .deficit_hpa = 37.5,
+                                   .r_max_km = 52.8,
+                                   .b = 1.4}}) {
+    for (const double f : {coriolis(14.0), coriolis(-20.0), 0.0}) {
+      for (const double r : radii) {
+        const HollandVortex::Profile p = v.profile(r, f);
+        ASSERT_EQ(bits(p.height_m), bits(v.height_anomaly_m(r))) << "r " << r;
+        ASSERT_EQ(bits(p.wind_ms), bits(v.balanced_tangential_wind(r, f)))
+            << "r " << r;
+        const double ratio_h = v.r_max_km / std::max(r, 1e-3);
+        const double ratio_w =
+            (v.r_max_km * 1000.0) / (std::max(r, 1.0) * 1000.0);
+        ++(ratio_h == ratio_w ? shared : separate);
+      }
+    }
+  }
+  // Both paths through profile() ran.
+  EXPECT_GT(shared, 1000);
+  EXPECT_GT(separate, 1000);
 }
 
 TEST(Coriolis, SignAndMagnitude) {
