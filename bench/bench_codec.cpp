@@ -9,10 +9,18 @@
 // run also sweeps the coarser Fig-5 intervals (report-only — temporal
 // deltas decay as frames grow further apart).
 //
+// Every payload is also folded into an FNV-1a digest. --quick fails unless
+// it equals kQuickPayloadDigest, captured from the exhaustive encoder (every
+// candidate fully coded), so an encoder change that moves one payload byte
+// or one chosen mode fails the smoke.
+//
 // Writes BENCH_codec.json ({bench, scenario, metric, value, unit} rows);
 // --json=PATH overrides, --quick shrinks the frame count for CI smokes.
 #include <chrono>
+#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -23,6 +31,8 @@
 namespace {
 
 using namespace adaptviz;
+
+constexpr std::uint64_t kQuickPayloadDigest = 0x141b9b8b35ebbc90ull;
 
 ModelConfig fig5_config() {
   ModelConfig config;
@@ -51,6 +61,51 @@ struct OiResult {
   double encode_mb_s = 0.0;
   double decode_mb_s = 0.0;
   int frames = 0;
+  std::uint64_t payload_digest = 0;
+};
+
+/// Encodes each frame's fields with encode_frame against the same two-frame
+/// history FrameFieldCodec keeps, folding every payload into an FNV-1a
+/// digest. FrameFieldCodec does not expose its payloads; matching its
+/// encoded byte total ties this replay to what it coded.
+class PayloadDigest {
+ public:
+  void add_frame(const std::vector<FieldView>& fields) {
+    if (fields.size() > slots_.size()) slots_.resize(fields.size());
+    for (std::size_t s = 0; s < fields.size(); ++s) {
+      Slot& slot = slots_[s];
+      const FieldView cur = fields[s];
+      const FieldView prev{slot.prev.data(), slot.prev_nx, slot.prev_ny};
+      const FieldView prev2{slot.prev2.data(), slot.prev2_nx, slot.prev2_ny};
+      const CompressedFrame enc =
+          encode_frame(cur, slot.prev.empty() ? nullptr : &prev,
+                       slot.prev2.empty() ? nullptr : &prev2);
+      for (const std::uint8_t b : enc.payload) {
+        digest_ ^= b;
+        digest_ *= 1099511628211ull;
+      }
+      encoded_bytes_ += enc.encoded_bytes();
+      slot.prev2 = std::move(slot.prev);
+      slot.prev2_nx = slot.prev_nx;
+      slot.prev2_ny = slot.prev_ny;
+      slot.prev.assign(cur.data, cur.data + cur.count());
+      slot.prev_nx = cur.nx;
+      slot.prev_ny = cur.ny;
+    }
+  }
+
+  [[nodiscard]] std::uint64_t digest() const { return digest_; }
+  [[nodiscard]] std::size_t encoded_bytes() const { return encoded_bytes_; }
+
+ private:
+  struct Slot {
+    std::vector<double> prev, prev2;
+    std::size_t prev_nx = 0, prev_ny = 0;
+    std::size_t prev2_nx = 0, prev2_ny = 0;
+  };
+  std::vector<Slot> slots_;
+  std::uint64_t digest_ = 1469598103934665603ull;
+  std::size_t encoded_bytes_ = 0;
 };
 
 /// Runs `frames` consecutive frames at `oi_seconds` cadence through a
@@ -59,6 +114,7 @@ OiResult run_oi(WeatherModel& model, double oi_seconds, int frames) {
   FrameFieldCodec codec(CodecOptions{/*enabled=*/true,
                                      CodecPrecision::kFloat32,
                                      /*verify_roundtrip=*/true});
+  PayloadDigest digest;
   std::vector<FieldView> fields;
   OiResult out;
   double encode_s = 0.0;
@@ -68,6 +124,7 @@ OiResult run_oi(WeatherModel& model, double oi_seconds, int frames) {
     if (model.sim_time().seconds() >= next_frame) {
       collect_fields(model, fields);
       const CodecFrameReport report = codec.encode_frame_fields(fields);
+      digest.add_frame(fields);
       encode_s += report.encode_seconds;
       decode_s += report.decode_seconds;
       ++out.frames;
@@ -76,6 +133,13 @@ OiResult run_oi(WeatherModel& model, double oi_seconds, int frames) {
       model.step();
     }
   }
+  if (digest.encoded_bytes() != codec.total_encoded_bytes()) {
+    std::fprintf(stderr,
+                 "FAIL: payload replay coded %zu bytes, FrameFieldCodec %zu\n",
+                 digest.encoded_bytes(), codec.total_encoded_bytes());
+    std::exit(1);
+  }
+  out.payload_digest = digest.digest();
   out.ratio = codec.cumulative_ratio();
   const double raw_mb =
       static_cast<double>(codec.total_raw_bytes()) / 1.0e6;
@@ -120,13 +184,21 @@ int main(int argc, char** argv) {
     report.add("codec", "oi3min", "frames", static_cast<double>(r.frames),
                "count");
     std::printf("codec oi3min: ratio %.2fx over %d frames, encode %.1f "
-                "MB/s, decode %.1f MB/s\n",
-                r.ratio, r.frames, r.encode_mb_s, r.decode_mb_s);
+                "MB/s, decode %.1f MB/s, payload digest 0x%016" PRIx64 "\n",
+                r.ratio, r.frames, r.encode_mb_s, r.decode_mb_s,
+                r.payload_digest);
     if (r.ratio < 2.0) {
       std::fprintf(stderr,
                    "FAIL: codec ratio %.2fx at 3-min cadence is below the "
                    "2.0x floor\n",
                    r.ratio);
+      ++failures;
+    }
+    if (args.quick && r.payload_digest != kQuickPayloadDigest) {
+      std::fprintf(stderr,
+                   "FAIL: payload digest 0x%016" PRIx64 " != golden 0x%016" PRIx64
+                   "\n",
+                   r.payload_digest, kQuickPayloadDigest);
       ++failures;
     }
   }

@@ -1,7 +1,10 @@
 #include "dataio/codec.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 namespace adaptviz {
@@ -99,18 +102,70 @@ struct ByteModel {
     for (auto& f : freq) f = 1;
   }
 
-  void update(int sym) {
+  /// The one adaptation rule both sides share. Returns true when the
+  /// counters were rescaled.
+  bool update(int sym) {
     freq[sym] = static_cast<std::uint16_t>(freq[sym] + kFreqIncrement);
     total += kFreqIncrement;
-    if (total > kMaxTotal) {
-      total = 0;
-      for (auto& f : freq) {
-        f = static_cast<std::uint16_t>((f + 1) >> 1);
-        total += f;
-      }
+    if (total <= kMaxTotal) return false;
+    total = 0;
+    for (auto& f : freq) {
+      f = static_cast<std::uint16_t>((f + 1) >> 1);
+      total += f;
+    }
+    return true;
+  }
+};
+
+// Encoder-side model: ByteModel plus a Fenwick tree over its counters, so a
+// symbol's cumulative frequency costs O(log 256) instead of a scan. The
+// decoder keeps ByteModel's linear search: there the tree's extra update
+// costs more than the shorter search saves.
+struct FenwickByteModel {
+  ByteModel model;
+  std::uint32_t tree[257];  // 1-based; tree[i] sums freq over (i - lsb(i), i]
+
+  FenwickByteModel() { rebuild(); }
+
+  /// Sum of freq[0..sym).
+  std::uint32_t cum(int sym) const {
+    std::uint32_t c = 0;
+    for (int i = sym; i > 0; i &= i - 1) c += tree[i];
+    return c;
+  }
+
+  void update(int sym) {
+    if (model.update(sym)) {
+      rebuild();
+      return;
+    }
+    for (int i = sym + 1; i <= 256; i += i & -i) tree[i] += kFreqIncrement;
+  }
+
+ private:
+  void rebuild() {
+    for (int i = 1; i <= 256; ++i) tree[i] = model.freq[i - 1];
+    for (int i = 1; i <= 256; ++i) {
+      const int parent = i + (i & -i);
+      if (parent <= 256) tree[parent] += tree[i];
     }
   }
 };
+
+// Upper bound on the symbols a range-coded body of `body_bytes` can carry,
+// so a decoder can reject a header's dimensions before allocating for them.
+// When a symbol is coded, total <= kMaxTotal and the other 255 symbols hold
+// freq >= 1, so no symbol is likelier than (kMaxTotal - 255) / kMaxTotal;
+// the coder's integer truncation only narrows the range further. Each
+// symbol therefore consumes at least min_bits_per_symbol bits of range, and
+// the decoder reads one byte per 8 bits consumed after its first 5.
+std::size_t max_coded_symbols(std::size_t body_bytes) {
+  static const double min_bits_per_symbol =
+      -std::log2(static_cast<double>(kMaxTotal - 255) / kMaxTotal);
+  static const auto symbols_per_byte =
+      static_cast<std::size_t>(std::ceil(8.0 / min_bits_per_symbol));
+  return (body_bytes + 5) * symbols_per_byte;
+}
 
 class RangeEncoder {
  public:
@@ -190,21 +245,29 @@ class RangeDecoder {
 
 // Codes the zigzagged residuals plane-major (all byte 0s, then byte 1s,
 // ...), one adaptive model per plane; mirrors rc_decode_planes exactly.
+// Returns false, leaving `out` partial, as soon as `out` holds more than
+// `limit` bytes (checked every 1024 symbols and at each plane end): emitted
+// bytes only grow and flush() only appends, so the finished stream would
+// exceed `limit` too.
 template <typename UInt>
-void rc_encode_planes(const std::vector<UInt>& resid,
+bool rc_encode_planes(const std::vector<UInt>& resid, std::size_t limit,
                       std::vector<std::uint8_t>& out) {
+  constexpr std::size_t kCheckEvery = 1024;
   RangeEncoder enc(out);
   for (std::size_t p = 0; p < sizeof(UInt); ++p) {
-    ByteModel model;
-    for (const UInt r : resid) {
-      const int sym = static_cast<int>((r >> (8 * p)) & 0xff);
-      std::uint32_t cum = 0;
-      for (int s = 0; s < sym; ++s) cum += model.freq[s];
-      enc.encode(cum, model.freq[sym], model.total);
-      model.update(sym);
+    FenwickByteModel m;
+    for (std::size_t k0 = 0; k0 < resid.size(); k0 += kCheckEvery) {
+      const std::size_t k1 = std::min(resid.size(), k0 + kCheckEvery);
+      for (std::size_t k = k0; k < k1; ++k) {
+        const int sym = static_cast<int>((resid[k] >> (8 * p)) & 0xff);
+        enc.encode(m.cum(sym), m.model.freq[sym], m.model.total);
+        m.update(sym);
+      }
+      if (out.size() > limit) return false;
     }
   }
   enc.flush();
+  return out.size() <= limit;
 }
 
 template <typename UInt>
@@ -235,15 +298,15 @@ UInt lorenzo_predict(const UInt* o, std::size_t nx, std::size_t i,
   return UInt(0);
 }
 
-std::vector<std::uint8_t> make_header(CompressedFrame::Mode mode,
-                                      CodecPrecision precision,
-                                      std::uint32_t nx, std::uint32_t ny) {
-  std::vector<std::uint8_t> out(kMagic, kMagic + 4);
+// Replaces `out` with the payload header.
+void write_header(std::vector<std::uint8_t>& out, CompressedFrame::Mode mode,
+                  CodecPrecision precision, std::uint32_t nx,
+                  std::uint32_t ny) {
+  out.assign(kMagic, kMagic + 4);
   out.push_back(static_cast<std::uint8_t>(mode));
   out.push_back(static_cast<std::uint8_t>(precision));
   put_u32(out, nx);
   put_u32(out, ny);
-  return out;
 }
 
 // Narrow the double view to the coded value type (identity for double),
@@ -262,20 +325,56 @@ bool same_shape(const FieldView* p, const FieldView& cur) {
          p->ny == cur.ny;
 }
 
+// Keeps the smallest candidate payload, ties going to intra, then delta,
+// then delta2, and stores raw when even that exceeds raw size + header.
+// Candidates run best-first (delta2, delta, intra); a later one replaces the
+// best when it is no larger, which keeps that tie-break, and each is coded
+// only until it outgrows the best so far (or the raw bound).
 template <typename Float>
 CompressedFrame encode_at(FieldView cur, const FieldView* prev,
                           const FieldView* prev2, CodecPrecision precision) {
   using UInt = typename BitsOf<Float>::type;
+  using Mode = CompressedFrame::Mode;
   const std::size_t n = cur.count();
   CompressedFrame frame;
   frame.nx = static_cast<std::uint32_t>(cur.nx);
   frame.ny = static_cast<std::uint32_t>(cur.ny);
   frame.precision = precision;
+  frame.mode = Mode::kRaw;
 
   const std::vector<UInt> oc = ordered<Float>(cur);
-
-  // Candidate 1: spatial (intra) prediction — always available.
   std::vector<UInt> resid(n);
+  std::vector<std::uint8_t> best, trial;
+  std::size_t limit = n * sizeof(Float) + kHeaderBytes;
+  const auto try_candidate = [&](Mode mode) {
+    write_header(trial, mode, precision, frame.nx, frame.ny);
+    if (rc_encode_planes(resid, limit, trial)) {
+      best.swap(trial);
+      limit = best.size();
+      frame.mode = mode;
+    }
+  };
+
+  if (same_shape(prev, cur)) {
+    const std::vector<UInt> o1 = ordered<Float>(*prev);
+    // Second-order temporal extrapolation (2*prev - prev2): fields advect
+    // smoothly between frames, so the linear-in-time prediction cancels
+    // most of the first difference as well.
+    if (same_shape(prev2, cur)) {
+      const std::vector<UInt> o2 = ordered<Float>(*prev2);
+      for (std::size_t k = 0; k < n; ++k) {
+        const UInt pred = static_cast<UInt>(2 * o1[k] - o2[k]);
+        resid[k] = zigzag(static_cast<UInt>(oc[k] - pred));
+      }
+      try_candidate(Mode::kDelta2);
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      resid[k] = zigzag(static_cast<UInt>(oc[k] - o1[k]));
+    }
+    try_candidate(Mode::kDelta);
+  }
+
+  // Spatial (intra) prediction: always available.
   for (std::size_t j = 0; j < cur.ny; ++j) {
     for (std::size_t i = 0; i < cur.nx; ++i) {
       const std::size_t k = j * cur.nx + i;
@@ -283,50 +382,12 @@ CompressedFrame encode_at(FieldView cur, const FieldView* prev,
           static_cast<UInt>(oc[k] - lorenzo_predict(oc.data(), cur.nx, i, j)));
     }
   }
-  CompressedFrame::Mode best_mode = CompressedFrame::Mode::kIntra;
-  std::vector<std::uint8_t> best =
-      make_header(best_mode, precision, frame.nx, frame.ny);
-  rc_encode_planes(resid, best);
-
-  // Candidate 2: temporal delta, when a same-shape previous frame exists.
-  const bool have_prev = same_shape(prev, cur);
-  if (have_prev) {
-    const std::vector<UInt> o1 = ordered<Float>(*prev);
-    for (std::size_t k = 0; k < n; ++k) {
-      resid[k] = zigzag(static_cast<UInt>(oc[k] - o1[k]));
-    }
-    std::vector<std::uint8_t> delta = make_header(
-        CompressedFrame::Mode::kDelta, precision, frame.nx, frame.ny);
-    rc_encode_planes(resid, delta);
-    if (delta.size() < best.size()) {
-      best = std::move(delta);
-      best_mode = CompressedFrame::Mode::kDelta;
-    }
-
-    // Candidate 3: second-order temporal extrapolation (2*prev - prev2).
-    // Fields advect smoothly between frames, so the linear-in-time
-    // prediction cancels most of the first difference as well.
-    if (same_shape(prev2, cur)) {
-      const std::vector<UInt> o2 = ordered<Float>(*prev2);
-      for (std::size_t k = 0; k < n; ++k) {
-        const UInt pred = static_cast<UInt>(2 * o1[k] - o2[k]);
-        resid[k] = zigzag(static_cast<UInt>(oc[k] - pred));
-      }
-      std::vector<std::uint8_t> delta2 = make_header(
-          CompressedFrame::Mode::kDelta2, precision, frame.nx, frame.ny);
-      rc_encode_planes(resid, delta2);
-      if (delta2.size() < best.size()) {
-        best = std::move(delta2);
-        best_mode = CompressedFrame::Mode::kDelta2;
-      }
-    }
-  }
+  try_candidate(Mode::kIntra);
 
   // Escape hatch: incompressible input is stored verbatim, bounding the
   // worst case at raw size + header.
-  if (best.size() > n * sizeof(Float) + kHeaderBytes) {
-    best_mode = CompressedFrame::Mode::kRaw;
-    best = make_header(best_mode, precision, frame.nx, frame.ny);
+  if (frame.mode == Mode::kRaw) {
+    write_header(best, Mode::kRaw, precision, frame.nx, frame.ny);
     for (std::size_t k = 0; k < n; ++k) {
       const UInt b = fbits(static_cast<Float>(cur.data[k]));
       for (std::size_t p = 0; p < sizeof(Float); ++p) {
@@ -334,8 +395,6 @@ CompressedFrame encode_at(FieldView cur, const FieldView* prev,
       }
     }
   }
-
-  frame.mode = best_mode;
   frame.payload = std::move(best);
   return frame;
 }
@@ -347,24 +406,31 @@ std::vector<double> decode_at(const CompressedFrame& frame,
   using UInt = typename BitsOf<Float>::type;
   const std::vector<std::uint8_t>& in = frame.payload;
   const std::size_t n = static_cast<std::size_t>(nx) * ny;
+  // The header's dimensions are checked against the body before any buffer
+  // is sized from them.
+  const std::size_t body = in.size() - kHeaderBytes;
+  if (frame.mode == CompressedFrame::Mode::kRaw) {
+    if (body % sizeof(Float) != 0 || body / sizeof(Float) != n) {
+      throw std::invalid_argument("decode_frame: bad raw body size");
+    }
+    std::vector<double> out(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      UInt b = 0;
+      for (std::size_t p = 0; p < sizeof(Float); ++p) {
+        b |= static_cast<UInt>(in[kHeaderBytes + k * sizeof(Float) + p])
+             << (8 * p);
+      }
+      out[k] = static_cast<double>(bits_to_float<Float>(b));
+    }
+    return out;
+  }
+  if (n > max_coded_symbols(body) / sizeof(UInt)) {
+    throw std::invalid_argument(
+        "decode_frame: body too short for the header's dimensions");
+  }
   std::vector<UInt> oc(n);
 
   switch (frame.mode) {
-    case CompressedFrame::Mode::kRaw: {
-      if (in.size() != kHeaderBytes + n * sizeof(Float)) {
-        throw std::invalid_argument("decode_frame: bad raw body size");
-      }
-      std::vector<double> out(n);
-      for (std::size_t k = 0; k < n; ++k) {
-        UInt b = 0;
-        for (std::size_t p = 0; p < sizeof(Float); ++p) {
-          b |= static_cast<UInt>(in[kHeaderBytes + k * sizeof(Float) + p])
-               << (8 * p);
-        }
-        out[k] = static_cast<double>(bits_to_float<Float>(b));
-      }
-      return out;
-    }
     case CompressedFrame::Mode::kIntra: {
       std::vector<UInt> resid;
       rc_decode_planes(in, kHeaderBytes, n, resid);
@@ -424,6 +490,17 @@ std::vector<double> decode_at(const CompressedFrame& frame,
 CompressedFrame encode_frame(FieldView cur, const FieldView* prev,
                              const FieldView* prev2,
                              CodecPrecision precision) {
+  // The header holds u32 dimensions, and the raw size must be
+  // representable for the raw escape.
+  constexpr std::size_t kMaxDim = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::size_t kMaxValues =
+      (std::numeric_limits<std::size_t>::max() - kHeaderBytes) /
+      sizeof(double);
+  if (cur.nx > kMaxDim || cur.ny > kMaxDim ||
+      (cur.ny != 0 && cur.nx > kMaxValues / cur.ny)) {
+    throw std::invalid_argument(
+        "encode_frame: dimensions exceed the frame header");
+  }
   const std::size_t n = cur.count();
   if (n > 0 && cur.data == nullptr) {
     throw std::invalid_argument("encode_frame: null data with nonzero dims");
@@ -434,7 +511,7 @@ CompressedFrame encode_frame(FieldView cur, const FieldView* prev,
     frame.ny = static_cast<std::uint32_t>(cur.ny);
     frame.precision = precision;
     frame.mode = CompressedFrame::Mode::kRaw;
-    frame.payload = make_header(frame.mode, precision, frame.nx, frame.ny);
+    write_header(frame.payload, frame.mode, precision, frame.nx, frame.ny);
     return frame;
   }
   return precision == CodecPrecision::kFloat32

@@ -92,7 +92,9 @@ struct CompressedFrame {
 /// before that) may each be null or differently sized (first frames, or a
 /// resolution change mid-run); the temporal predictors quietly drop out and
 /// the encoder falls back to intra/raw. Passing `prev2` without a usable
-/// `prev` never selects kDelta2.
+/// `prev` never selects kDelta2. Throws std::invalid_argument, before
+/// reading any value, when a dimension exceeds the u32 header or the raw
+/// size overflows size_t.
 CompressedFrame encode_frame(FieldView cur, const FieldView* prev,
                              const FieldView* prev2 = nullptr,
                              CodecPrecision precision =
@@ -102,8 +104,10 @@ CompressedFrame encode_frame(FieldView cur, const FieldView* prev,
 /// encode_frame when the mode requires them (kDelta: prev; kDelta2: both)
 /// and are ignored otherwise. Under kFloat32 the returned doubles are the
 /// narrowed float values — identical to what encode saw after narrowing,
-/// bit for bit. Throws std::invalid_argument on a corrupt payload or a
-/// missing/mismatched history frame.
+/// bit for bit. Throws std::invalid_argument on a corrupt payload
+/// (including a header whose dimensions the body cannot hold, rejected
+/// before any buffer is sized from them) or a missing/mismatched history
+/// frame.
 std::vector<double> decode_frame(const CompressedFrame& frame,
                                  const FieldView* prev,
                                  const FieldView* prev2 = nullptr);

@@ -4,13 +4,46 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <new>
 #include <random>
 #include <vector>
 
+// Allocation cap for the tests that feed the codec dimensions it must reject:
+// while armed, any single operator new request above the cap throws
+// std::bad_alloc before reaching the allocator. A codec that sizes a buffer
+// from unvalidated dimensions then fails the test instead of touching
+// gigabytes. Replacing operator new affects this whole test binary; unarmed
+// it only forwards to malloc/free.
+namespace {
+thread_local std::size_t g_alloc_cap = 0;  // 0: no cap
+}  // namespace
+
+// GCC pairs the inlined free() below with operator new at call sites and
+// warns of a mismatch; the replacement pair is malloc/free, so it is not.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  if (g_alloc_cap != 0 && size > g_alloc_cap) throw std::bad_alloc();
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
 namespace adaptviz {
 namespace {
+
+/// Arms the allocation cap for its scope.
+struct AllocationCap {
+  explicit AllocationCap(std::size_t bytes) { g_alloc_cap = bytes; }
+  ~AllocationCap() { g_alloc_cap = 0; }
+  AllocationCap(const AllocationCap&) = delete;
+  AllocationCap& operator=(const AllocationCap&) = delete;
+};
 
 FieldView view(const std::vector<double>& v, std::size_t nx, std::size_t ny) {
   return FieldView{v.data(), nx, ny};
@@ -294,6 +327,184 @@ TEST(Codec, DecodeRejectsCorruptPayload) {
 
   CompressedFrame empty;
   EXPECT_THROW(decode_frame(empty, nullptr), std::invalid_argument);
+}
+
+TEST(Codec, DecodeRejectsOversizedHeaderWithoutAllocating) {
+  // A 19-byte payload (14-byte header + 5-byte body) claiming a
+  // 65535 x 65535 float32 field: ~17 GB of values if believed. Every mode
+  // must reject it from the body size alone, before sizing any buffer.
+  for (const auto mode :
+       {CompressedFrame::Mode::kRaw, CompressedFrame::Mode::kIntra,
+        CompressedFrame::Mode::kDelta, CompressedFrame::Mode::kDelta2}) {
+    CompressedFrame frame;
+    frame.nx = 65535;
+    frame.ny = 65535;
+    frame.mode = mode;
+    frame.precision = kF32;
+    frame.payload = {'A', 'F', 'C', '1', static_cast<std::uint8_t>(mode), 0,
+                     0xff, 0xff, 0, 0, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0};
+    ASSERT_EQ(frame.payload.size(), 19u);
+    AllocationCap cap(1 << 20);
+    EXPECT_THROW(decode_frame(frame, nullptr, nullptr), std::invalid_argument)
+        << "mode " << static_cast<int>(mode);
+  }
+}
+
+TEST(Codec, EncodeRejectsDimensionsTheHeaderCannotHold) {
+  // The header stores u32 dimensions; larger ones must be rejected before a
+  // single value is read, so a one-double buffer is enough.
+  const double dummy = 1.0;
+  const std::size_t max32 = std::numeric_limits<std::uint32_t>::max();
+  AllocationCap cap(1 << 20);
+  EXPECT_THROW(encode_frame(FieldView{&dummy, max32 + 1, 1}, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(encode_frame(FieldView{&dummy, 1, max32 + 1}, nullptr),
+               std::invalid_argument);
+  // Both dimensions fit the header, but the field's raw size overflows.
+  EXPECT_THROW(
+      encode_frame(FieldView{&dummy, max32, max32}, nullptr, nullptr, kF64),
+      std::invalid_argument);
+}
+
+// ---- Bitwise oracles ----
+
+TEST(Codec, Delta2TieResolvesToDelta) {
+  // With prev2 == prev the extrapolation 2*prev - prev2 is prev itself, so
+  // the delta and delta2 residual streams are identical and code to the
+  // same size. Ties resolve toward the simpler predictor: kDelta.
+  const std::vector<double> prev = ar1_field(40, 30, 37);
+  std::vector<double> cur = prev;
+  for (double& x : cur) x *= 1.0 + 1e-6;
+  const FieldView p1 = view(prev, 40, 30);
+  for (const CodecPrecision precision : {kF32, kF64}) {
+    const CompressedFrame frame =
+        encode_frame(view(cur, 40, 30), &p1, &p1, precision);
+    EXPECT_EQ(frame.mode, CompressedFrame::Mode::kDelta);
+    const std::vector<double> want = precision == kF32 ? narrowed32(cur) : cur;
+    EXPECT_EQ(decode_frame(frame, &p1, &p1), want);
+  }
+}
+
+// Deterministic generators for the payload golden: built from raw mt19937
+// words (whose sequence the standard fixes) and plain arithmetic, so the
+// inputs do not depend on a standard library's distribution code.
+double unit_noise(std::mt19937& rng) {
+  return static_cast<double>(rng()) / 4294967296.0 - 0.5;
+}
+
+std::vector<double> golden_ar1(std::size_t nx, std::size_t ny,
+                               std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<double> f(nx * ny);
+  for (std::size_t j = 0; j < ny; ++j) {
+    for (std::size_t i = 0; i < nx; ++i) {
+      const double w = i > 0 ? f[j * nx + i - 1] : 0.0;
+      const double n = j > 0 ? f[(j - 1) * nx + i] : 0.0;
+      const double base = i > 0 && j > 0 ? 0.5 * (w + n) : (i > 0 ? w : n);
+      f[j * nx + i] = 0.99 * base + 0.05 * unit_noise(rng) + 10.0;
+    }
+  }
+  return f;
+}
+
+// Folds each encoded frame's mode and payload into an FNV-1a digest and
+// counts the modes, so the golden also proves which paths it covers.
+struct PayloadDigest {
+  std::uint64_t h = 1469598103934665603ull;
+  int modes[4] = {0, 0, 0, 0};
+
+  void byte(std::uint8_t b) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  void add(const CompressedFrame& f) {
+    byte(static_cast<std::uint8_t>(f.mode));
+    for (const std::uint8_t b : f.payload) byte(b);
+    ++modes[static_cast<int>(f.mode)];
+  }
+};
+
+TEST(Codec, PayloadsMatchGoldenDigest) {
+  // Captured from the exhaustive encoder (every candidate fully coded,
+  // smallest kept, ties toward intra, then delta, then delta2). Any change
+  // to a payload byte or a chosen mode breaks it.
+  constexpr std::uint64_t kGolden = 0x1456c78006a78350ull;
+  PayloadDigest digest;
+  for (const CodecPrecision precision : {kF32, kF64}) {
+    const auto encode = [&](const std::vector<double>& cur, std::size_t nx,
+                            std::size_t ny, const std::vector<double>* prev,
+                            const std::vector<double>* prev2) {
+      const FieldView p1 = prev ? view(*prev, nx, ny) : FieldView{};
+      const FieldView p2 = prev2 ? view(*prev2, nx, ny) : FieldView{};
+      const CompressedFrame frame =
+          encode_frame(view(cur, nx, ny), prev ? &p1 : nullptr,
+                       prev2 ? &p2 : nullptr, precision);
+      digest.add(frame);
+    };
+
+    // AR(1) frames under a steady trend plus noise, encoded with the
+    // history a run would hand over: intra, then delta, then delta2.
+    const std::size_t nx = 37, ny = 23;
+    const std::vector<double> base = golden_ar1(nx, ny, 101);
+    std::mt19937 rng(202);
+    std::vector<std::vector<double>> frames;
+    for (int t = 0; t < 6; ++t) {
+      std::vector<double> f(base.size());
+      for (std::size_t k = 0; k < f.size(); ++k) {
+        f[k] = base[k] * (1.0 + 1e-3 * t) + 1e-5 * unit_noise(rng);
+      }
+      frames.push_back(std::move(f));
+    }
+    for (std::size_t t = 0; t < frames.size(); ++t) {
+      encode(frames[t], nx, ny, t >= 1 ? &frames[t - 1] : nullptr,
+             t >= 2 ? &frames[t - 2] : nullptr);
+    }
+    // An unrelated frame with full history (intra should win), then a
+    // small perturbation of it whose prev2 is stale (delta should win).
+    const std::vector<double> fresh = golden_ar1(nx, ny, 303);
+    encode(fresh, nx, ny, &frames[5], &frames[4]);
+    std::vector<double> nudged = fresh;
+    for (double& x : nudged) x += 1e-4 * unit_noise(rng);
+    encode(nudged, nx, ny, &fresh, &frames[5]);
+
+    // Random bit patterns (NaN-free at the coded width): the raw escape.
+    std::vector<double> noise(40 * 40);
+    for (double& x : noise) {
+      if (precision == kF32) {
+        std::uint32_t b = rng();
+        if ((b & 0x7f800000u) == 0x7f800000u) b &= ~0x40000000u;
+        float v;
+        std::memcpy(&v, &b, sizeof v);
+        x = v;
+      } else {
+        std::uint64_t b = (std::uint64_t{rng()} << 32) | rng();
+        if ((b & 0x7ff0000000000000ull) == 0x7ff0000000000000ull) {
+          b &= ~0x4000000000000000ull;
+        }
+        std::memcpy(&x, &b, sizeof x);
+      }
+    }
+    encode(noise, 40, 40, nullptr, nullptr);
+
+    // Constant, special values, and single-row/column fields.
+    encode(std::vector<double>(64 * 64, 3.25), 64, 64, nullptr, nullptr);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<double> specials = {0.0, -0.0, nan,  inf,  -inf,
+                                          1.0, -1.0, 0.0,  -0.0, nan,
+                                          2.5, 1e-300, -1e300, 7.0, -0.0,
+                                          0.0};
+    encode(specials, 4, 4, nullptr, nullptr);
+    encode(specials, 4, 4, &specials, nullptr);
+    const std::vector<double> row = golden_ar1(61, 1, 404);
+    encode(row, 61, 1, nullptr, nullptr);
+    encode(row, 1, 61, nullptr, nullptr);
+  }
+  EXPECT_GT(digest.modes[static_cast<int>(CompressedFrame::Mode::kRaw)], 0);
+  EXPECT_GT(digest.modes[static_cast<int>(CompressedFrame::Mode::kIntra)], 0);
+  EXPECT_GT(digest.modes[static_cast<int>(CompressedFrame::Mode::kDelta)], 0);
+  EXPECT_GT(digest.modes[static_cast<int>(CompressedFrame::Mode::kDelta2)], 0);
+  EXPECT_EQ(digest.h, kGolden) << std::hex << "digest 0x" << digest.h;
 }
 
 }  // namespace
