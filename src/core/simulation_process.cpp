@@ -155,8 +155,6 @@ Bytes SimulationProcess::encode_pending_frame(Bytes raw) {
   obs::count("codec.bytes_encoded", encoded.count());
   obs::count("codec.bytes_saved", (raw - encoded).count());
   obs::observe("codec.ratio", ratio);
-  obs::observe("codec.encode_ms", report.encode_seconds * 1e3);
-  obs::observe("codec.decode_ms", report.decode_seconds * 1e3);
   return encoded;
 }
 

@@ -1,11 +1,12 @@
 #include "dataio/codec.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+
+#include "obs/obs.hpp"
 
 namespace adaptviz {
 namespace {
@@ -119,8 +120,8 @@ struct ByteModel {
 
 // Encoder-side model: ByteModel plus a Fenwick tree over its counters, so a
 // symbol's cumulative frequency costs O(log 256) instead of a scan. The
-// decoder keeps ByteModel's linear search: there the tree's extra update
-// costs more than the shorter search saves.
+// decoder searches by symbol, not by cumulative frequency, so it keeps block
+// sums instead (BlockByteModel).
 struct FenwickByteModel {
   ByteModel model;
   std::uint32_t tree[257];  // 1-based; tree[i] sums freq over (i - lsb(i), i]
@@ -148,6 +149,35 @@ struct FenwickByteModel {
     for (int i = 1; i <= 256; ++i) {
       const int parent = i + (i & -i);
       if (parent <= 256) tree[parent] += tree[i];
+    }
+  }
+};
+
+// Decoder-side model: ByteModel plus the sums of its 16 blocks of 16
+// counters, so finding the symbol under a target scans at most 16 block
+// sums and then 16 counters instead of 256 counters.
+struct BlockByteModel {
+  static constexpr int kBlock = 16;
+  ByteModel model;
+  std::uint32_t block[256 / kBlock];
+
+  BlockByteModel() { rebuild(); }
+
+  void update(int sym) {
+    if (model.update(sym)) {
+      rebuild();
+      return;
+    }
+    block[sym / kBlock] += kFreqIncrement;
+  }
+
+ private:
+  void rebuild() {
+    for (int b = 0; b < 256 / kBlock; ++b) {
+      block[b] = 0;
+      for (int s = b * kBlock; s < (b + 1) * kBlock; ++s) {
+        block[b] += model.freq[s];
+      }
     }
   }
 };
@@ -213,12 +243,19 @@ class RangeDecoder {
     for (int k = 0; k < 5; ++k) code_ = (code_ << 8) | read_byte();
   }
 
-  int decode(ByteModel& model) {
+  // Finds the symbol whose interval holds the target: first the block, then
+  // the symbol within it. The block sums add up to total > target, so both
+  // scans stop in range on any input, and at the symbol a scan over all 256
+  // counters would pick.
+  int decode(BlockByteModel& m) {
+    const ByteModel& model = m.model;
     range_ /= model.total;
     std::uint32_t target = static_cast<std::uint32_t>(code_ / range_);
     if (target >= model.total) target = model.total - 1;
     std::uint32_t cum = 0;
-    int sym = 0;
+    int b = 0;
+    while (cum + m.block[b] <= target) cum += m.block[b++];
+    int sym = b * BlockByteModel::kBlock;
     while (cum + model.freq[sym] <= target) cum += model.freq[sym++];
     code_ -= static_cast<std::uint64_t>(cum) * range_;
     range_ *= model.freq[sym];
@@ -276,13 +313,70 @@ void rc_decode_planes(const std::vector<std::uint8_t>& in, std::size_t pos,
   resid.assign(n, 0);
   RangeDecoder dec(in, pos);
   for (std::size_t p = 0; p < sizeof(UInt); ++p) {
-    ByteModel model;
+    BlockByteModel m;
     for (std::size_t k = 0; k < n; ++k) {
-      const int sym = dec.decode(model);
+      const int sym = dec.decode(m);
       resid[k] |= static_cast<UInt>(sym) << (8 * p);
-      model.update(sym);
+      m.update(sym);
     }
   }
+}
+
+// Lower bound, in bytes, on the body rc_encode_planes would code from
+// `resid`, without range coding it (DESIGN.md §11):
+// - Only the models' counters are replayed. Between two rescales a plane's
+//   model is a Dirichlet-multinomial (alpha = freq / 32), so it gives the
+//   segment's m symbols at most the segment's maximum-likelihood
+//   probability: the ideal code length is at least L = sum m * H_emp bits.
+// - The coder's integer truncation only shrinks the range, which starts
+//   below 2^32 and ends at or above 2^24, so it shifts out S >= L/8 - 1
+//   bytes, and the body is exactly S + 5 bytes.
+// L carries a margin for floating-point rounding. The replay stops once the
+// bound exceeds `stop_above`; the value returned is then still a bound.
+template <typename UInt>
+double coded_body_lower_bound(const std::vector<UInt>& resid,
+                              double stop_above) {
+  // A segment ends at the first rescale: total starts at 256 or more and
+  // rescales once past kMaxTotal, so no segment holds more symbols than this.
+  constexpr std::size_t kMaxSegment = (kMaxTotal - 256) / kFreqIncrement + 1;
+  static const std::vector<double> xlog2x = [] {
+    std::vector<double> t(kMaxSegment + 1, 0.0);
+    for (std::size_t c = 2; c < t.size(); ++c) {
+      t[c] = static_cast<double>(c) * std::log2(static_cast<double>(c));
+    }
+    return t;
+  }();
+  double bits = 0.0;
+  const auto bound = [&bits] {
+    return (bits * (1.0 - 1e-9) - 64.0) / 8.0 + 4.0;
+  };
+  for (std::size_t p = 0; p < sizeof(UInt); ++p) {
+    ByteModel model;
+    std::uint32_t count[256] = {};
+    std::size_t m = 0;
+    // Adds m * H_emp = m log m - sum c log c for the segment, then empties it.
+    const auto close_segment = [&] {
+      double segment = xlog2x[m];
+      for (std::uint32_t& c : count) {
+        segment -= xlog2x[c];
+        c = 0;
+      }
+      bits += segment;
+      m = 0;
+    };
+    for (const UInt r : resid) {
+      const int sym = static_cast<int>((r >> (8 * p)) & 0xff);
+      ++count[sym];
+      ++m;
+      if (model.update(sym)) {
+        close_segment();
+        if (bound() > stop_above) return bound();
+      }
+    }
+    close_segment();
+    if (bound() > stop_above) return bound();
+  }
+  return bound();
 }
 
 // Lorenzo predictor on the order-mapped lattice, from the west, north, and
@@ -325,35 +419,16 @@ bool same_shape(const FieldView* p, const FieldView& cur) {
          p->ny == cur.ny;
 }
 
-// Keeps the smallest candidate payload, ties going to intra, then delta,
-// then delta2, and stores raw when even that exceeds raw size + header.
-// Candidates run best-first (delta2, delta, intra); a later one replaces the
-// best when it is no larger, which keeps that tie-break, and each is coded
-// only until it outgrows the best so far (or the raw bound).
-template <typename Float>
-CompressedFrame encode_at(FieldView cur, const FieldView* prev,
-                          const FieldView* prev2, CodecPrecision precision) {
+// Builds each available candidate's residuals in turn, best-first (delta2,
+// delta, intra), and hands them to visit(mode, resid).
+template <typename Float, typename Visit>
+void for_each_candidate(FieldView cur, const FieldView* prev,
+                        const FieldView* prev2, Visit&& visit) {
   using UInt = typename BitsOf<Float>::type;
   using Mode = CompressedFrame::Mode;
   const std::size_t n = cur.count();
-  CompressedFrame frame;
-  frame.nx = static_cast<std::uint32_t>(cur.nx);
-  frame.ny = static_cast<std::uint32_t>(cur.ny);
-  frame.precision = precision;
-  frame.mode = Mode::kRaw;
-
   const std::vector<UInt> oc = ordered<Float>(cur);
   std::vector<UInt> resid(n);
-  std::vector<std::uint8_t> best, trial;
-  std::size_t limit = n * sizeof(Float) + kHeaderBytes;
-  const auto try_candidate = [&](Mode mode) {
-    write_header(trial, mode, precision, frame.nx, frame.ny);
-    if (rc_encode_planes(resid, limit, trial)) {
-      best.swap(trial);
-      limit = best.size();
-      frame.mode = mode;
-    }
-  };
 
   if (same_shape(prev, cur)) {
     const std::vector<UInt> o1 = ordered<Float>(*prev);
@@ -366,12 +441,12 @@ CompressedFrame encode_at(FieldView cur, const FieldView* prev,
         const UInt pred = static_cast<UInt>(2 * o1[k] - o2[k]);
         resid[k] = zigzag(static_cast<UInt>(oc[k] - pred));
       }
-      try_candidate(Mode::kDelta2);
+      visit(Mode::kDelta2, resid);
     }
     for (std::size_t k = 0; k < n; ++k) {
       resid[k] = zigzag(static_cast<UInt>(oc[k] - o1[k]));
     }
-    try_candidate(Mode::kDelta);
+    visit(Mode::kDelta, resid);
   }
 
   // Spatial (intra) prediction: always available.
@@ -382,7 +457,43 @@ CompressedFrame encode_at(FieldView cur, const FieldView* prev,
           static_cast<UInt>(oc[k] - lorenzo_predict(oc.data(), cur.nx, i, j)));
     }
   }
-  try_candidate(Mode::kIntra);
+  visit(Mode::kIntra, resid);
+}
+
+// Keeps the smallest candidate payload, ties going to intra, then delta,
+// then delta2, and stores raw when even that exceeds raw size + header.
+// Candidates run best-first; a later one replaces the best when it is no
+// larger, which keeps that tie-break. Once a best exists, a candidate whose
+// lower bound already exceeds it is skipped uncoded, and every other is
+// coded only until it outgrows the best so far (or the raw bound).
+template <typename Float>
+CompressedFrame encode_at(FieldView cur, const FieldView* prev,
+                          const FieldView* prev2, CodecPrecision precision) {
+  using UInt = typename BitsOf<Float>::type;
+  using Mode = CompressedFrame::Mode;
+  const std::size_t n = cur.count();
+  CompressedFrame frame;
+  frame.nx = static_cast<std::uint32_t>(cur.nx);
+  frame.ny = static_cast<std::uint32_t>(cur.ny);
+  frame.precision = precision;
+  frame.mode = Mode::kRaw;
+
+  std::vector<std::uint8_t> best, trial;
+  std::size_t limit = n * sizeof(Float) + kHeaderBytes;
+  for_each_candidate<Float>(
+      cur, prev, prev2, [&](Mode mode, const std::vector<UInt>& resid) {
+        const auto body_limit = static_cast<double>(limit - kHeaderBytes);
+        if (!best.empty() &&
+            coded_body_lower_bound(resid, body_limit) > body_limit) {
+          return;
+        }
+        write_header(trial, mode, precision, frame.nx, frame.ny);
+        if (rc_encode_planes(resid, limit, trial)) {
+          best.swap(trial);
+          limit = best.size();
+          frame.mode = mode;
+        }
+      });
 
   // Escape hatch: incompressible input is stored verbatim, bounding the
   // worst case at raw size + header.
@@ -485,7 +596,42 @@ std::vector<double> decode_at(const CompressedFrame& frame,
   return out;
 }
 
+template <typename Float>
+std::vector<detail::CandidateSize> candidate_sizes_at(FieldView cur,
+                                                      const FieldView* prev,
+                                                      const FieldView* prev2) {
+  using UInt = typename BitsOf<Float>::type;
+  std::vector<detail::CandidateSize> out;
+  std::vector<std::uint8_t> body;
+  for_each_candidate<Float>(
+      cur, prev, prev2,
+      [&](CompressedFrame::Mode mode, const std::vector<UInt>& resid) {
+        body.clear();
+        rc_encode_planes(resid, std::numeric_limits<std::size_t>::max(), body);
+        out.push_back(detail::CandidateSize{
+            mode,
+            coded_body_lower_bound(resid,
+                                   std::numeric_limits<double>::infinity()),
+            body.size()});
+      });
+  return out;
+}
+
 }  // namespace
+
+namespace detail {
+
+std::vector<CandidateSize> candidate_sizes(FieldView cur,
+                                           const FieldView* prev,
+                                           const FieldView* prev2,
+                                           CodecPrecision precision) {
+  if (cur.count() == 0) return {};
+  return precision == CodecPrecision::kFloat32
+             ? candidate_sizes_at<float>(cur, prev, prev2)
+             : candidate_sizes_at<double>(cur, prev, prev2);
+}
+
+}  // namespace detail
 
 CompressedFrame encode_frame(FieldView cur, const FieldView* prev,
                              const FieldView* prev2,
@@ -554,19 +700,19 @@ std::vector<double> decode_frame(const CompressedFrame& frame,
 
 namespace {
 
-// Bitwise comparison at the coded precision: NaNs must survive, so the
-// doubles are compared through their narrowed bit patterns.
-bool bits_equal(const std::vector<double>& a, const std::vector<double>& b,
-                CodecPrecision precision) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t k = 0; k < a.size(); ++k) {
+// True when `back` holds `cur`'s values at the coded precision, compared
+// through their bit patterns so that NaNs and signed zeros must survive.
+bool reconstructs(const std::vector<double>& back, FieldView cur,
+                  CodecPrecision precision) {
+  if (back.size() != cur.count()) return false;
+  for (std::size_t k = 0; k < back.size(); ++k) {
     if (precision == CodecPrecision::kFloat32) {
-      if (fbits(static_cast<float>(a[k])) !=
-          fbits(static_cast<float>(b[k]))) {
+      if (fbits(static_cast<float>(back[k])) !=
+          fbits(static_cast<float>(cur.data[k]))) {
         return false;
       }
     } else {
-      if (fbits(a[k]) != fbits(b[k])) return false;
+      if (fbits(back[k]) != fbits(cur.data[k])) return false;
     }
   }
   return true;
@@ -587,42 +733,52 @@ double FrameFieldCodec::cumulative_ratio() const {
 
 CodecFrameReport FrameFieldCodec::encode_frame_fields(
     const std::vector<FieldView>& fields) {
-  CodecFrameReport report;
+  static thread_local obs::HotHistogram encode_hist("dataio.codec_encode");
+  static thread_local obs::HotHistogram verify_hist("dataio.codec_verify");
   if (fields.size() > slots_.size()) slots_.resize(fields.size());
-
-  for (std::size_t s = 0; s < fields.size(); ++s) {
-    Slot& slot = slots_[s];
-    const FieldView cur = fields[s];
+  // Calls fn(prev, prev2) with slot s's retained frames, null where the
+  // slot has none yet.
+  const auto with_history = [this](std::size_t s, auto&& fn) {
+    const Slot& slot = slots_[s];
     const FieldView prev{slot.prev.data(), slot.prev_nx, slot.prev_ny};
     const FieldView prev2{slot.prev2.data(), slot.prev2_nx, slot.prev2_ny};
+    return fn(slot.prev.empty() ? nullptr : &prev,
+              slot.prev2.empty() ? nullptr : &prev2);
+  };
 
-    const auto t0 = std::chrono::steady_clock::now();
-    const CompressedFrame enc =
-        encode_frame(cur, slot.prev.empty() ? nullptr : &prev,
-                     slot.prev2.empty() ? nullptr : &prev2,
-                     options_.precision);
-    const auto t1 = std::chrono::steady_clock::now();
-    report.raw_bytes += enc.raw_bytes();
-    report.encoded_bytes += enc.encoded_bytes();
-    report.encode_seconds += std::chrono::duration<double>(t1 - t0).count();
-    ++report.fields;
-
-    if (options_.verify_roundtrip) {
-      const auto d0 = std::chrono::steady_clock::now();
-      const std::vector<double> back =
-          decode_frame(enc, slot.prev.empty() ? nullptr : &prev,
-                       slot.prev2.empty() ? nullptr : &prev2);
-      const auto d1 = std::chrono::steady_clock::now();
-      report.decode_seconds +=
-          std::chrono::duration<double>(d1 - d0).count();
-      std::vector<double> want(cur.data, cur.data + cur.count());
-      if (!bits_equal(back, want, options_.precision)) {
+  std::vector<CompressedFrame> encoded(fields.size());
+  {
+    obs::ScopedSpan span("dataio.codec_encode", encode_hist);
+    for (std::size_t s = 0; s < fields.size(); ++s) {
+      encoded[s] = with_history(s, [&](const FieldView* p1,
+                                       const FieldView* p2) {
+        return encode_frame(fields[s], p1, p2, options_.precision);
+      });
+    }
+  }
+  if (options_.verify_roundtrip) {
+    obs::ScopedSpan span("dataio.codec_verify", verify_hist);
+    for (std::size_t s = 0; s < fields.size(); ++s) {
+      const std::vector<double> back = with_history(
+          s, [&](const FieldView* p1, const FieldView* p2) {
+            return decode_frame(encoded[s], p1, p2);
+          });
+      if (!reconstructs(back, fields[s], options_.precision)) {
         throw std::logic_error(
             "FrameFieldCodec: decoded frame does not reconstruct the "
             "encoded values bit-for-bit");
       }
     }
+  }
 
+  CodecFrameReport report;
+  for (std::size_t s = 0; s < fields.size(); ++s) {
+    report.raw_bytes += encoded[s].raw_bytes();
+    report.encoded_bytes += encoded[s].encoded_bytes();
+    ++report.fields;
+
+    Slot& slot = slots_[s];
+    const FieldView cur = fields[s];
     slot.prev2 = std::move(slot.prev);
     slot.prev2_nx = slot.prev_nx;
     slot.prev2_ny = slot.prev_ny;

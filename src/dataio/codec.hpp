@@ -27,8 +27,8 @@
 // respect to that frame representation: decode returns bit-for-bit the
 // narrowed values (or the original doubles under kFloat64), including NaNs
 // and signed zeros. A raw-store escape bounds pathological inputs at raw
-// size + header. No dependencies beyond the standard library — dataio
-// stays below the weather layer.
+// size + header. No dependencies beyond the standard library and obs (for
+// its host-time spans) — dataio stays below the weather layer.
 #pragma once
 
 #include <cstddef>
@@ -112,6 +112,27 @@ std::vector<double> decode_frame(const CompressedFrame& frame,
                                  const FieldView* prev,
                                  const FieldView* prev2 = nullptr);
 
+namespace detail {
+
+/// One candidate encode_frame considers: the lower bound it skips the
+/// candidate with (bytes of range-coded body) and the body's size when
+/// fully coded.
+struct CandidateSize {
+  CompressedFrame::Mode mode = CompressedFrame::Mode::kRaw;
+  double lower_bound = 0.0;
+  std::size_t body_bytes = 0;
+};
+
+/// Every candidate encode_frame(cur, prev, prev2, precision) would try, in
+/// its order. For tests of the bound; encode_frame never fully codes a
+/// skipped candidate.
+std::vector<CandidateSize> candidate_sizes(FieldView cur,
+                                           const FieldView* prev,
+                                           const FieldView* prev2,
+                                           CodecPrecision precision);
+
+}  // namespace detail
+
 /// Frame-pipeline codec configuration (ExperimentConfig::codec / the
 /// `[codec]` scenario section).
 struct CodecOptions {
@@ -120,8 +141,8 @@ struct CodecOptions {
   bool enabled = false;
   CodecPrecision precision = CodecPrecision::kFloat32;
   /// Decode each encoded field and compare bit-for-bit against what was
-  /// encoded. Cheap at compute-grid sizes, proves losslessness on every
-  /// frame of every run, and produces the decode-time measurement.
+  /// encoded. Cheap at compute-grid sizes and proves losslessness on every
+  /// frame of every run.
   bool verify_roundtrip = true;
 };
 
@@ -129,8 +150,6 @@ struct CodecOptions {
 struct CodecFrameReport {
   std::size_t raw_bytes = 0;      // at the coded precision, summed
   std::size_t encoded_bytes = 0;  // payload bytes, summed
-  double encode_seconds = 0.0;    // host wall clock
-  double decode_seconds = 0.0;    // 0 unless verify_roundtrip
   int fields = 0;
 
   [[nodiscard]] double ratio() const {
@@ -143,7 +162,9 @@ struct CodecFrameReport {
 
 /// Stateful per-run frame coder: retains the two previous frames of every
 /// field slot so the temporal predictors apply, and reports measured sizes
-/// and timings per frame. Fields are matched to history by position, so
+/// per frame. Host time goes to the obs spans `dataio.codec_encode` and
+/// `dataio.codec_verify` (the latter under verify_roundtrip), one span
+/// each per frame. Fields are matched to history by position, so
 /// callers must present a stable order (e.g. parent h,u,v then nest
 /// h,u,v). A resolution change mid-run is handled naturally: history of
 /// the old shape disables the temporal modes for one frame (two for

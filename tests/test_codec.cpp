@@ -507,5 +507,189 @@ TEST(Codec, PayloadsMatchGoldenDigest) {
   EXPECT_EQ(digest.h, kGolden) << std::hex << "digest 0x" << digest.h;
 }
 
+// ---- Candidate pruning bound ----
+
+// Replays the encoder's choice over AR(1) frames under a steady trend,
+// where delta2 codes first and smallest, and counts the later candidates
+// the bound alone rules out.
+int pruned_on_ar1_trend() {
+  constexpr std::size_t kHeader = 14;
+  const std::size_t nx = 37, ny = 23;
+  const std::vector<double> base = golden_ar1(nx, ny, 101);
+  std::mt19937 rng(202);
+  std::vector<std::vector<double>> frames;
+  int pruned = 0;
+  for (int t = 0; t < 6; ++t) {
+    std::vector<double> f(base.size());
+    for (std::size_t k = 0; k < f.size(); ++k) {
+      f[k] = base[k] * (1.0 + 1e-3 * t) + 1e-5 * unit_noise(rng);
+    }
+    frames.push_back(std::move(f));
+    if (t < 2) continue;
+    const FieldView p1 = view(frames[t - 1], nx, ny);
+    const FieldView p2 = view(frames[t - 2], nx, ny);
+    for (const CodecPrecision precision : {kF32, kF64}) {
+      std::size_t limit = nx * ny * (precision == kF32 ? 4 : 8) + kHeader;
+      bool have_best = false;
+      for (const detail::CandidateSize& c : detail::candidate_sizes(
+               view(frames[t], nx, ny), &p1, &p2, precision)) {
+        if (have_best &&
+            static_cast<double>(kHeader) + c.lower_bound >
+                static_cast<double>(limit)) {
+          ++pruned;
+        } else if (kHeader + c.body_bytes <= limit) {
+          have_best = true;
+          limit = kHeader + c.body_bytes;
+        }
+      }
+    }
+  }
+  return pruned;
+}
+
+TEST(Codec, CodedSizeLowerBoundNeverExceedsCodedSize) {
+  // Seeded fields of every kind the codec meets, each encoded with two
+  // frames of history so that every residual kind is a candidate: the bound
+  // the encoder skips candidates with must never exceed the body the range
+  // coder actually emits. It must also be tight enough to rule out a
+  // losing candidate on real-looking frames, or this would pass vacuously.
+  std::mt19937 rng(2024);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto make_field = [&](int kind, std::size_t n, std::uint32_t seed) {
+    std::mt19937 r(seed);
+    std::vector<double> f(n);
+    for (double& x : f) {
+      switch (kind) {
+        case 1:  // noise
+          x = unit_noise(r) * 1e3;
+          break;
+        case 2: {  // random bits, NaNs included
+          const std::uint64_t b = (std::uint64_t{r()} << 32) | r();
+          std::memcpy(&x, &b, sizeof x);
+          break;
+        }
+        case 3:  // constant
+          x = -7.5;
+          break;
+        default: {  // NaN, +-0, +-inf and ordinary values
+          const double specials[] = {nan, 0.0, -0.0, inf, -inf, 1.5, -2.0};
+          x = specials[r() % 7];
+        }
+      }
+    }
+    return f;
+  };
+
+  int fields = 0;
+  int modes[4] = {0, 0, 0, 0};
+  for (std::uint32_t seed = 0; seed < 1100; ++seed) {
+    std::size_t nx = 1 + rng() % 40;
+    std::size_t ny = 1 + rng() % 30;
+    if (seed % 7 == 0) nx = ny = 1;
+    if (seed % 7 == 1) nx = 1;
+    if (seed % 7 == 2) ny = 1;
+    const int kind = static_cast<int>(seed % 5);
+    std::vector<std::vector<double>> frames;
+    if (kind == 0) {  // AR(1) under a trend plus noise
+      const std::vector<double> base = golden_ar1(nx, ny, seed);
+      for (int t = 0; t < 3; ++t) {
+        std::vector<double> f(base.size());
+        for (std::size_t k = 0; k < f.size(); ++k) {
+          f[k] = base[k] * (1.0 + 1e-3 * t) + 1e-5 * unit_noise(rng);
+        }
+        frames.push_back(std::move(f));
+      }
+    } else {
+      for (std::uint32_t t = 0; t < 3; ++t) {
+        frames.push_back(make_field(kind, nx * ny, seed * 3 + t));
+      }
+    }
+    const FieldView p2 = view(frames[0], nx, ny);
+    const FieldView p1 = view(frames[1], nx, ny);
+    for (const CodecPrecision precision : {kF32, kF64}) {
+      ++fields;
+      for (const detail::CandidateSize& c : detail::candidate_sizes(
+               view(frames[2], nx, ny), &p1, &p2, precision)) {
+        ++modes[static_cast<int>(c.mode)];
+        EXPECT_LE(c.lower_bound, static_cast<double>(c.body_bytes))
+            << "seed " << seed << " mode " << static_cast<int>(c.mode);
+      }
+    }
+  }
+  EXPECT_GE(fields, 2000);
+  EXPECT_EQ(modes[static_cast<int>(CompressedFrame::Mode::kIntra)], fields);
+  EXPECT_EQ(modes[static_cast<int>(CompressedFrame::Mode::kDelta)], fields);
+  EXPECT_EQ(modes[static_cast<int>(CompressedFrame::Mode::kDelta2)], fields);
+  EXPECT_GE(pruned_on_ar1_trend(), 1);
+}
+
+// ---- Damaged payloads ----
+
+// A damaged payload must decode to nx*ny values or throw
+// std::invalid_argument, without any allocation over 1 MB.
+void expect_decodes_or_rejects(const CompressedFrame& frame,
+                               const FieldView* prev, const FieldView* prev2,
+                               const char* damage, std::size_t at) {
+  AllocationCap cap(1 << 20);
+  try {
+    const std::vector<double> got = decode_frame(frame, prev, prev2);
+    EXPECT_EQ(got.size(), std::size_t{frame.nx} * frame.ny)
+        << damage << " at " << at;
+  } catch (const std::invalid_argument&) {
+  }
+}
+
+TEST(Codec, DecodeSurvivesTruncationAndBitFlips) {
+  constexpr std::size_t kHeader = 14;
+  const std::size_t nx = 16, ny = 12;
+  const std::vector<double> base = golden_ar1(nx, ny, 505);
+  std::mt19937 rng(606);
+  std::vector<double> prev2v = base, prevv = base, curv = base;
+  for (std::size_t k = 0; k < base.size(); ++k) {
+    prevv[k] = base[k] * (1.0 + 1e-3) + 1e-6 * unit_noise(rng);
+    curv[k] = base[k] * (1.0 + 2e-3) + 1e-6 * unit_noise(rng);
+  }
+  std::vector<double> nudged = base;
+  for (double& x : nudged) x += 1e-7 * unit_noise(rng);
+  const FieldView p2 = view(prev2v, nx, ny);
+  const FieldView p1 = view(prevv, nx, ny);
+  const FieldView b0 = view(base, nx, ny);
+
+  for (const CodecPrecision precision : {kF32, kF64}) {
+    const struct {
+      CompressedFrame frame;
+      const FieldView* prev;
+      const FieldView* prev2;
+      CompressedFrame::Mode want;
+    } cases[] = {
+        {encode_frame(b0, nullptr, nullptr, precision), nullptr, nullptr,
+         CompressedFrame::Mode::kIntra},
+        {encode_frame(view(nudged, nx, ny), &b0, nullptr, precision), &b0,
+         nullptr, CompressedFrame::Mode::kDelta},
+        {encode_frame(view(curv, nx, ny), &p1, &p2, precision), &p1, &p2,
+         CompressedFrame::Mode::kDelta2},
+    };
+    for (const auto& c : cases) {
+      ASSERT_EQ(c.frame.mode, c.want);
+      const std::size_t size = c.frame.payload.size();
+      ASSERT_GT(size, kHeader);
+      for (std::size_t len = 0; len < size; ++len) {
+        CompressedFrame damaged = c.frame;
+        damaged.payload.resize(len);
+        expect_decodes_or_rejects(damaged, c.prev, c.prev2, "truncation",
+                                  len);
+      }
+      CompressedFrame damaged = c.frame;
+      for (std::size_t bit = 8 * kHeader; bit < 8 * size; ++bit) {
+        const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+        damaged.payload[bit / 8] ^= mask;
+        expect_decodes_or_rejects(damaged, c.prev, c.prev2, "bit flip", bit);
+        damaged.payload[bit / 8] ^= mask;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace adaptviz
