@@ -63,7 +63,7 @@ std::uint64_t digest_deliveries(const ViewerSessionManager& m) {
   Digest d;
   for (int c = 0; c < m.viewer_count(); ++c) {
     d.i64(c);
-    for (const DeliveryRecord& r : m.deliveries(c)) {
+    for (const DeliveryRecord& r : m.deliveries(ClientId{c})) {
       d.f64(r.wall_time.seconds());
       d.f64(r.sim_time.seconds());
       d.i64(r.sequence);
@@ -293,7 +293,7 @@ std::uint64_t run_determinism_rig(int pool_workers) {
        make_viewer_fleet(24, Bandwidth::mbps(40.0), /*catchup_fraction=*/0.5,
                          SimSeconds(0.0),
                          /*catchup_join=*/WallSeconds(3000.0))) {
-    manager.add_viewer(v);
+    manager.attach(v);
   }
   for (int i = 0; i < 180; ++i) {
     queue.schedule_at(WallSeconds(60.0 * i), [&manager, i] {

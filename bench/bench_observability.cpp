@@ -11,9 +11,10 @@
 //     over the raw bytes proves it.
 //
 //  2. Cost — the wall-time overhead of full instrumentation on the Fig 5
-//     scenario stays under 2%. Runs alternate off/on and the minimum of
-//     N runs per mode is compared (the min is the robust statistic for
-//     CPU-bound work; means absorb scheduler noise).
+//     scenario stays under 2%. Runs alternate off/on, and the overhead is
+//     the median over the N adjacent (off, on) pairs of on/off - 1: both
+//     runs of a pair see the same load from the rest of the machine, and
+//     the median ignores the pairs a burst of load split.
 //
 // `--quick` shrinks the scenario so the same checks run as a ctest smoke.
 #include <algorithm>
@@ -22,9 +23,11 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "bench_report.hpp"
 #include "experiment_common.hpp"
+#include "numerics/statistics.hpp"
 #include "obs/export.hpp"
 
 using namespace adaptviz;
@@ -124,30 +127,35 @@ int main(int argc, char** argv) {
   const std::string json_path =
       args.json_path.empty() ? "BENCH_observability.json" : args.json_path;
   const ExperimentConfig cfg = scenario(quick);
-  const int kRuns = quick ? 5 : 3;
+  // Ten pairs keep the smoke under ~5 s.
+  const int kRuns = quick ? 10 : 3;
 
   // Warm the shared pool and every code path before timing anything.
   std::uint64_t digest_off = 0;
   std::uint64_t digest_on = 0;
   run_once(cfg, /*with_obs=*/false, nullptr);
 
-  // Alternate off/on so drift (thermal, cache residency) hits both modes
-  // equally; keep the minimum per mode.
+  // Alternate off/on so drift (thermal, cache residency, other load) hits
+  // both runs of a pair equally. The per-mode minimums are reported only.
   double min_off = 1e100;
   double min_on = 1e100;
+  std::vector<double> pair_ratios;
   ExperimentResult instrumented;
   for (int i = 0; i < kRuns; ++i) {
-    min_off = std::min(min_off, run_once(cfg, false, &digest_off));
-    min_on = std::min(min_on, run_once(cfg, true, &digest_on, &instrumented));
+    const double off = run_once(cfg, false, &digest_off);
+    const double on = run_once(cfg, true, &digest_on, &instrumented);
+    min_off = std::min(min_off, off);
+    min_on = std::min(min_on, on);
+    pair_ratios.push_back(on / off);
   }
 
   // The <2% contract is measured on the full Fig 5 scenario, where each
-  // run is seconds long and the min-of-N statistic is stable. The ctest
-  // smoke runs a sub-second scenario, where timer/scheduler noise alone
-  // can exceed 2%; it keeps the machinery honest with a looser gate (the
-  // transparency check stays exact in both modes).
+  // run is seconds long. The ctest smoke runs a sub-second scenario, where
+  // timer/scheduler noise alone can exceed 2%; it keeps the machinery
+  // honest with a looser gate (the transparency check stays exact in both
+  // modes).
   const double budget_pct = quick ? 10.0 : 2.0;
-  const double overhead_pct = 100.0 * (min_on - min_off) / min_off;
+  const double overhead_pct = 100.0 * (median(pair_ratios) - 1.0);
   std::printf("observability overhead (%s): off=%.3fs on=%.3fs -> %+.2f%%\n",
               quick ? "smoke scenario" : "fig5 scenario", min_off, min_on,
               overhead_pct);

@@ -37,13 +37,13 @@ int main() {
   cfg.sim_window = SimSeconds::hours(60.0);
   cfg.max_wall = WallSeconds::hours(60.0);
   cfg.model.compute_scale = 10.0;
-  cfg.steering_latency = WallSeconds(0.5);
+  cfg.steering.latency = WallSeconds(0.5);
   cfg.seed = 21;
 
   bool asked_for_density = false;
   bool widened_nest = false;
   bool capped_resolution = false;
-  cfg.steering_policy = [&](const SteeringObservation& obs)
+  cfg.steering.policy = [&](const SteeringObservation& obs)
       -> std::optional<SteeringCommand> {
     if (!capped_resolution && obs.sequence == 0) {
       capped_resolution = true;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -367,33 +368,6 @@ std::vector<CampaignRunRecord> CampaignRunner::run(const CampaignSpec& spec,
 
 // ---- [campaign] INI schema ----
 
-namespace {
-
-std::vector<std::string> parse_name_list(const std::string& spec) {
-  std::vector<std::string> out;
-  for (const std::string& part : split(spec, ',')) {
-    const std::string name = trim(part);
-    if (!name.empty()) out.push_back(name);
-  }
-  return out;
-}
-
-std::vector<double> parse_double_list(const std::string& key,
-                                      const std::string& spec) {
-  std::vector<double> out;
-  for (const std::string& name : parse_name_list(spec)) {
-    try {
-      out.push_back(std::stod(name));
-    } catch (const std::exception&) {
-      throw std::runtime_error("campaign: malformed " + key + " entry '" +
-                               name + "'");
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 bool is_campaign_ini(const IniDocument& doc) {
   return doc.has_section("campaign");
 }
@@ -408,21 +382,20 @@ CampaignSpec campaign_from_ini(const IniDocument& doc) {
   spec.name = doc.get_or("campaign", "name", spec.base.name);
 
   if (auto v = doc.get("campaign", "sites")) {
-    for (const std::string& name : parse_name_list(*v)) {
+    for (const std::string& name : split_list(*v)) {
       // Note: a sites axis replaces the whole preset per cell; per-key
       // [site] overrides apply only to the base scenario's site.
       spec.sites.emplace_back(name, site_preset(name));
     }
   }
   if (auto v = doc.get("campaign", "algorithms")) {
-    for (const std::string& name : parse_name_list(*v)) {
+    for (const std::string& name : split_list(*v)) {
       spec.algorithms.push_back(algorithm_from_name(name));
     }
   }
   if (auto v = doc.get("campaign", "seeds")) {
-    for (const double seed : parse_double_list("seeds", *v)) {
-      if (seed < 0 || seed != static_cast<double>(
-                                  static_cast<std::uint64_t>(seed))) {
+    for (const std::int64_t seed : parse_int_list("campaign: seeds", *v)) {
+      if (seed < 0) {
         throw std::runtime_error(
             "campaign: seeds must be non-negative integers");
       }
@@ -430,15 +403,18 @@ CampaignSpec campaign_from_ini(const IniDocument& doc) {
     }
   }
   if (auto v = doc.get("campaign", "disk_gb")) {
-    for (const double gb : parse_double_list("disk_gb", *v)) {
-      if (gb <= 0) {
-        throw std::runtime_error("campaign: disk_gb entries must be > 0");
+    for (const double gb : parse_double_list("campaign: disk_gb", *v)) {
+      // The cap is held in int64 bytes: 1e9 GB keeps it representable.
+      if (gb <= 0 || gb > 1e9) {
+        throw std::runtime_error(
+            "campaign: disk_gb entries must be in (0, 1e9]");
       }
       spec.disk_caps.push_back(Bytes::gigabytes(gb));
     }
   }
   if (auto v = doc.get("campaign", "failure_rates")) {
-    for (const double rate : parse_double_list("failure_rates", *v)) {
+    for (const double rate :
+         parse_double_list("campaign: failure_rates", *v)) {
       if (rate < 0.0 || rate > 1.0) {
         throw std::runtime_error(
             "campaign: failure_rates entries must be in [0, 1]");
@@ -447,7 +423,7 @@ CampaignSpec campaign_from_ini(const IniDocument& doc) {
     }
   }
   if (auto v = doc.get("campaign", "codec")) {
-    for (const std::string& name : parse_name_list(*v)) {
+    for (const std::string& name : split_list(*v)) {
       if (name == "on" || name == "true" || name == "1") {
         spec.codecs.push_back(true);
       } else if (name == "off" || name == "false" || name == "0") {
@@ -460,7 +436,7 @@ CampaignSpec campaign_from_ini(const IniDocument& doc) {
   }
   if (auto v = doc.get("campaign", "decision_period_hours")) {
     for (const double h :
-         parse_double_list("decision_period_hours", *v)) {
+         parse_double_list("campaign: decision_period_hours", *v)) {
       if (h <= 0) {
         throw std::runtime_error(
             "campaign: decision_period_hours entries must be > 0");
@@ -469,8 +445,9 @@ CampaignSpec campaign_from_ini(const IniDocument& doc) {
     }
   }
   if (auto v = doc.get("campaign", "vis_workers")) {
-    for (const double w : parse_double_list("vis_workers", *v)) {
-      if (w < 1 || w != static_cast<double>(static_cast<int>(w))) {
+    for (const std::int64_t w :
+         parse_int_list("campaign: vis_workers", *v)) {
+      if (w < 1 || w > std::numeric_limits<int>::max()) {
         throw std::runtime_error(
             "campaign: vis_workers entries must be positive integers");
       }

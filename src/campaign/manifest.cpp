@@ -1,104 +1,36 @@
 #include "campaign/manifest.hpp"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/string_util.hpp"
+#include "util/wire.hpp"
 
 namespace adaptviz {
 namespace {
 
-// ---- token-level encoding ----
-//
-// Strings travel percent-encoded so a value can never contain the
-// separators of any enclosing layer (spaces for the kv line, quotes and
-// backslashes for JSON, newlines for the pipe protocol).
-
-bool plain_char(unsigned char c) {
-  return std::isalnum(c) != 0 || c == '.' || c == '_' || c == '~' ||
-         c == ':' || c == '/' || c == '-';
-}
-
-std::string percent_encode(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const unsigned char c : s) {
-    if (plain_char(c)) {
-      out += static_cast<char>(c);
-    } else {
-      char buf[4];
-      std::snprintf(buf, sizeof buf, "%%%02X", c);
-      out += buf;
-    }
-  }
-  return out;
-}
-
-int hex_nibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-std::string percent_decode(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '%') {
-      out += s[i];
-      continue;
-    }
-    if (i + 2 >= s.size()) {
-      throw std::runtime_error("manifest: truncated percent escape in '" + s +
-                               "'");
-    }
-    const int hi = hex_nibble(s[i + 1]);
-    const int lo = hex_nibble(s[i + 2]);
-    if (hi < 0 || lo < 0) {
-      throw std::runtime_error("manifest: malformed percent escape in '" + s +
-                               "'");
-    }
-    out += static_cast<char>(hi * 16 + lo);
-    i += 2;
-  }
-  return out;
-}
-
-// Hexfloat: the only printf/scanf round trip that is exact for every
-// finite double — the merged summary must reproduce the in-process CSV
-// byte for byte, so "close" is not good enough.
-std::string encode_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
-double decode_double(const std::string& s) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == nullptr || *end != '\0' || end == s.c_str()) {
-    throw std::runtime_error("manifest: malformed double '" + s + "'");
-  }
-  return v;
-}
+// Strings travel percent-encoded and doubles as hexfloats (util/wire.hpp),
+// so a value never contains a space, newline or quote of the kv line,
+// pipe or JSON layer, and the merged summary reproduces the in-process
+// CSV byte for byte.
+using wire::decode_double;
+using wire::encode_double;
+using wire::percent_decode;
+using wire::percent_encode;
 
 std::int64_t decode_int(const std::string& s) {
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || end == s.c_str()) {
-    throw std::runtime_error("manifest: malformed integer '" + s + "'");
-  }
-  return v;
+  return parse_int("manifest", s);
 }
 
 std::vector<std::pair<std::string, std::string>> split_kv(
     const std::string& line) {
   std::vector<std::pair<std::string, std::string>> out;
+  std::set<std::string> keys;
   std::size_t pos = 0;
   while (pos < line.size()) {
     std::size_t end = line.find(' ', pos);
@@ -109,7 +41,11 @@ std::vector<std::pair<std::string, std::string>> split_kv(
       if (eq == std::string::npos || eq == 0) {
         throw std::runtime_error("manifest: malformed token '" + token + "'");
       }
-      out.emplace_back(token.substr(0, eq), token.substr(eq + 1));
+      std::string key = token.substr(0, eq);
+      if (!keys.insert(key).second) {
+        throw std::runtime_error("manifest: duplicate key '" + key + "'");
+      }
+      out.emplace_back(std::move(key), token.substr(eq + 1));
     }
     pos = end + 1;
   }
@@ -332,254 +268,27 @@ ManifestEntry decode_manifest_entry(const std::string& line) {
 // ---- JSON layer ----
 //
 // The manifest is real JSON (CI uploads it as an artifact; humans read it
-// after a failed sweep), written and parsed by the minimal
-// reader/writer below — no external dependency, and the values we emit
-// (percent-encoded strings, decimal numbers) exercise only this subset.
+// after a failed sweep), written with wire::json_quote and read with
+// wire::parse_json.
 
 namespace {
 
-void json_string(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      case '\r':
-        out << "\\r";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04X", c);
-          out << buf;
-        } else {
-          out << static_cast<char>(c);
-        }
-    }
-  }
-  out << '"';
-}
+using wire::JsonValue;
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  [[nodiscard]] const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const char* what) const {
-    throw std::runtime_error("manifest: JSON parse error at offset " +
-                             std::to_string(pos_) + ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail("unexpected character");
-    ++pos_;
-  }
-
-  bool consume_literal(const char* lit) {
-    const std::size_t len = std::string(lit).size();
-    if (text_.compare(pos_, len, lit) == 0) {
-      pos_ += len;
-      return true;
-    }
-    return false;
-  }
-
-  JsonValue value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') {
-      JsonValue v;
-      v.kind = JsonValue::Kind::kString;
-      v.string = string();
-      return v;
-    }
-    JsonValue v;
-    if (consume_literal("true")) {
-      v.kind = JsonValue::Kind::kBool;
-      v.boolean = true;
-      return v;
-    }
-    if (consume_literal("false")) {
-      v.kind = JsonValue::Kind::kBool;
-      return v;
-    }
-    if (consume_literal("null")) return v;
-    return number();
-  }
-
-  JsonValue object() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      v.object.emplace_back(std::move(key), value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue array() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"':
-        case '\\':
-        case '/':
-          out += e;
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          int code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const int nib = hex_nibble(text_[pos_++]);
-            if (nib < 0) fail("malformed \\u escape");
-            code = code * 16 + nib;
-          }
-          if (code > 0xFF) fail("non-ASCII \\u escape unsupported");
-          out += static_cast<char>(code);
-          break;
-        }
-        default:
-          fail("unknown escape");
-      }
-    }
-  }
-
-  JsonValue number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a value");
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    v.number = decode_double(text_.substr(start, pos_ - start));
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-double require_number(const JsonValue& obj, const char* key) {
+// Every number in the manifest is a count or an index; anything else is
+// rejected before it reaches an integer cast.
+std::int64_t require_count(const JsonValue& obj, const char* key) {
   const JsonValue* v = obj.find(key);
   if (v == nullptr || v->kind != JsonValue::Kind::kNumber) {
     throw std::runtime_error(std::string("manifest: missing number '") + key +
                              "'");
   }
-  return v->number;
+  if (!(v->number >= 0.0 && v->number <= 9007199254740992.0) ||
+      v->number != std::floor(v->number)) {
+    throw std::runtime_error(std::string("manifest: '") + key +
+                             "' is not a count");
+  }
+  return static_cast<std::int64_t>(v->number);
 }
 
 std::string require_string(const JsonValue& obj, const char* key) {
@@ -606,26 +315,22 @@ std::string CampaignManifest::to_json() const {
   std::ostringstream out;
   out << "{\n";
   out << "  \"version\": " << kVersion << ",\n";
-  out << "  \"campaign\": ";
-  json_string(out, campaign);
-  out << ",\n";
+  out << "  \"campaign\": " << wire::json_quote(campaign) << ",\n";
   out << "  \"grid\": " << grid << ",\n";
   out << "  \"runs\": [";
   bool first = true;
   for (const auto& [index, entry] : entries) {
     out << (first ? "\n" : ",\n");
     first = false;
-    out << "    {\"index\": " << index << ", \"label\": ";
-    json_string(out, entry.record.label);
-    out << ", \"failed\": " << (entry.record.failed ? "true" : "false");
-    out << ", \"record\": ";
-    json_string(out, encode_run_record(entry.record));
-    out << ", \"files\": [";
+    out << "    {\"index\": " << index
+        << ", \"label\": " << wire::json_quote(entry.record.label)
+        << ", \"failed\": " << (entry.record.failed ? "true" : "false")
+        << ", \"record\": " << wire::json_quote(encode_run_record(entry.record))
+        << ", \"files\": [";
     for (std::size_t i = 0; i < entry.files.size(); ++i) {
       if (i > 0) out << ", ";
-      out << "{\"path\": ";
-      json_string(out, entry.files[i].path);
-      out << ", \"bytes\": " << entry.files[i].bytes << "}";
+      out << "{\"path\": " << wire::json_quote(entry.files[i].path)
+          << ", \"bytes\": " << entry.files[i].bytes << "}";
     }
     out << "]}";
   }
@@ -647,16 +352,16 @@ void CampaignManifest::save(const std::string& path) const {
 }
 
 CampaignManifest CampaignManifest::from_json(const std::string& text) {
-  const JsonValue root = JsonParser(text).parse();
+  const JsonValue root = wire::parse_json(text);
   if (root.kind != JsonValue::Kind::kObject) {
     throw std::runtime_error("manifest: top level is not an object");
   }
-  if (static_cast<int>(require_number(root, "version")) != kVersion) {
+  if (require_count(root, "version") != kVersion) {
     throw std::runtime_error("manifest: unsupported version");
   }
   CampaignManifest m;
   m.campaign = require_string(root, "campaign");
-  m.grid = static_cast<std::size_t>(require_number(root, "grid"));
+  m.grid = static_cast<std::size_t>(require_count(root, "grid"));
   const JsonValue* runs = root.find("runs");
   if (runs == nullptr || runs->kind != JsonValue::Kind::kArray) {
     throw std::runtime_error("manifest: missing 'runs' array");
@@ -666,14 +371,13 @@ CampaignManifest CampaignManifest::from_json(const std::string& text) {
       throw std::runtime_error("manifest: run entry is not an object");
     }
     ManifestEntry entry;
-    entry.index = static_cast<std::size_t>(require_number(run, "index"));
+    entry.index = static_cast<std::size_t>(require_count(run, "index"));
     entry.record = decode_run_record(require_string(run, "record"));
     if (const JsonValue* files = run.find("files");
         files != nullptr && files->kind == JsonValue::Kind::kArray) {
       for (const JsonValue& f : files->array) {
         entry.files.push_back(
-            FileStamp{require_string(f, "path"),
-                      static_cast<std::int64_t>(require_number(f, "bytes"))});
+            FileStamp{require_string(f, "path"), require_count(f, "bytes")});
       }
     }
     m.upsert(std::move(entry));

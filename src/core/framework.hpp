@@ -72,9 +72,8 @@ struct SteeringOptions {
   /// exclusive with `replay` (a replayed log already contains whatever a
   /// policy decided — running both would double-steer the run).
   SteeringPolicy policy;
-  /// Command-channel latency. Negative (the default) inherits the
-  /// deprecated top-level `steering_latency` field.
-  WallSeconds latency{-1.0};
+  /// Command-channel latency.
+  WallSeconds latency{0.3};
   /// How often (virtual time) the run drains its inbox on an external
   /// control plane.
   WallSeconds poll_period{60.0};
@@ -147,15 +146,8 @@ struct ExperimentConfig {
   std::uint64_t seed = 42;
 
   /// The control plane (registration, observers, scripted/replayed
-  /// steering). `steering.policy` / `steering.latency` supersede the two
-  /// deprecated fields below.
+  /// steering).
   SteeringOptions steering{};
-
-  /// Deprecated: use steering.policy / steering.latency. Still honoured
-  /// (normalized into `steering` at construction; the golden test in
-  /// tests/test_steering.cpp asserts both spellings run byte-identically).
-  SteeringPolicy steering_policy;
-  WallSeconds steering_latency{0.3};
 
   /// Observability: when true the framework owns a metrics registry +
   /// stage tracer, installs them on its run context, and returns the

@@ -6,38 +6,10 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "util/wire.hpp"
+
 namespace adaptviz::obs {
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void write_number(std::ostream& out, double v) {
   // JSON has no inf/nan; clamp to null (never produced by our metrics,
@@ -57,21 +29,21 @@ void write_json(std::ostream& out, const MetricsSnapshot& metrics,
                 const std::vector<TraceEvent>& trace) {
   out << "{\n  \"metrics\": {\n    \"counters\": {";
   for (std::size_t i = 0; i < metrics.counters.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << "      \""
-        << json_escape(metrics.counters[i].name)
-        << "\": " << metrics.counters[i].value;
+    out << (i == 0 ? "\n" : ",\n") << "      "
+        << wire::json_quote(metrics.counters[i].name) << ": "
+        << metrics.counters[i].value;
   }
   out << "\n    },\n    \"gauges\": {";
   for (std::size_t i = 0; i < metrics.gauges.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << "      \""
-        << json_escape(metrics.gauges[i].name) << "\": ";
+    out << (i == 0 ? "\n" : ",\n") << "      "
+        << wire::json_quote(metrics.gauges[i].name) << ": ";
     write_number(out, metrics.gauges[i].value);
   }
   out << "\n    },\n    \"histograms\": {";
   for (std::size_t i = 0; i < metrics.histograms.size(); ++i) {
     const auto& h = metrics.histograms[i].snapshot;
-    out << (i == 0 ? "\n" : ",\n") << "      \""
-        << json_escape(metrics.histograms[i].name) << "\": {\"count\": "
+    out << (i == 0 ? "\n" : ",\n") << "      "
+        << wire::json_quote(metrics.histograms[i].name) << ": {\"count\": "
         << h.count << ", \"sum\": ";
     write_number(out, h.sum);
     out << ", \"min\": ";
@@ -93,13 +65,13 @@ void write_json(std::ostream& out, const MetricsSnapshot& metrics,
   out << "\n    }\n  },\n  \"trace\": [";
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const TraceEvent& e = trace[i];
-    out << (i == 0 ? "\n" : ",\n") << "    {\"stage\": \""
-        << json_escape(e.stage) << "\", \"clock\": \"" << to_string(e.clock)
+    out << (i == 0 ? "\n" : ",\n") << "    {\"stage\": "
+        << wire::json_quote(e.stage) << ", \"clock\": \"" << to_string(e.clock)
         << "\", \"start\": ";
     write_number(out, e.start_seconds);
     out << ", \"duration\": ";
     write_number(out, e.duration_seconds);
-    out << ", \"meta\": \"" << json_escape(e.metadata) << "\"}";
+    out << ", \"meta\": " << wire::json_quote(e.metadata) << "}";
   }
   out << "\n  ]\n}\n";
 }

@@ -8,16 +8,6 @@ namespace adaptviz::obs {
 
 namespace {
 std::atomic<std::uint64_t> g_epoch{0};
-
-// The shim inherits the surrounding context's logging fields so wrapping a
-// region in ScopedObservability changes where metrics go, not where log
-// lines go.
-RunContext shim_context(Observability* obs) noexcept {
-  RunContext context;
-  if (const RunContext* outer = current_run_context()) context = *outer;
-  context.observability = obs;
-  return context;
-}
 }  // namespace
 
 Observability::Observability(ObsOptions options)
@@ -28,8 +18,5 @@ Observability* current() noexcept {
   const RunContext* context = current_run_context();
   return context != nullptr ? context->observability : nullptr;
 }
-
-ScopedObservability::ScopedObservability(Observability* obs) noexcept
-    : context_(shim_context(obs)), scope_(&context_) {}
 
 }  // namespace adaptviz::obs

@@ -55,24 +55,6 @@ class Observability {
 /// is active.
 Observability* current() noexcept;
 
-/// DEPRECATED shim, kept for existing examples and tests: installs a run
-/// context carrying `obs` for this scope (inheriting the surrounding
-/// context's logging fields) and restores the previous context on
-/// destruction. Scopes nest per thread. New code should install a
-/// RunContext directly (ScopedRunContext) or let AdaptiveFramework own the
-/// bundle via ExperimentConfig::observability.
-class ScopedObservability {
- public:
-  explicit ScopedObservability(Observability* obs) noexcept;
-  ~ScopedObservability() = default;
-  ScopedObservability(const ScopedObservability&) = delete;
-  ScopedObservability& operator=(const ScopedObservability&) = delete;
-
- private:
-  RunContext context_;
-  ScopedRunContext scope_;
-};
-
 // ---- Call-site helpers (no-ops when nothing is installed) ----
 
 inline void count(const char* name, std::int64_t n = 1) {

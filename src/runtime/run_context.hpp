@@ -45,8 +45,8 @@ class LogSink {
 };
 
 /// The per-run state bundle. Plain aggregate, non-owning: the installer
-/// (AdaptiveFramework, a test, a deprecated ScopedObservability shim) keeps
-/// the pointed-to objects alive for the installation's span.
+/// (AdaptiveFramework, a test) keeps the pointed-to objects alive for the
+/// installation's span.
 struct RunContext {
   /// Metrics registry + stage tracer for this run, or null (instrumentation
   /// helpers no-op).

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "util/string_util.hpp"
 
 namespace adaptviz {
 
@@ -434,57 +436,21 @@ void EdgeTree::record_staleness(int tier, double seconds) {
 
 namespace {
 
-/// Splits a comma-separated value list, trimming whitespace.
-std::vector<std::string> split_list(const std::string& value) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= value.size()) {
-    std::size_t comma = value.find(',', start);
-    if (comma == std::string::npos) comma = value.size();
-    std::string item = value.substr(start, comma - start);
-    const auto a = item.find_first_not_of(" \t");
-    if (a == std::string::npos) {
-      item.clear();
-    } else {
-      const auto b = item.find_last_not_of(" \t");
-      item = item.substr(a, b - a + 1);
-    }
-    if (!item.empty()) out.push_back(std::move(item));
-    start = comma + 1;
-  }
-  return out;
-}
-
-double parse_double(const std::string& key, const std::string& item) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(item, &used);
-    if (used != item.size()) throw std::invalid_argument(item);
-    return v;
-  } catch (const std::exception&) {
-    throw std::runtime_error("[tree] " + key + ": malformed number '" + item +
-                             "'");
-  }
-}
-
 /// Per-tier list: a single value broadcasts to every tier; otherwise the
 /// list length must equal the tier count.
 std::vector<double> tier_list(const IniDocument& doc, const std::string& key,
                               std::size_t tiers, double fallback) {
   const auto raw = doc.get("tree", key);
   if (!raw.has_value()) return std::vector<double>(tiers, fallback);
-  const auto items = split_list(*raw);
-  if (items.empty()) {
+  std::vector<double> out = parse_double_list("[tree] " + key, *raw);
+  if (out.empty()) {
     throw std::runtime_error("[tree] " + key + ": empty value");
   }
-  std::vector<double> out;
-  out.reserve(items.size());
-  for (const auto& item : items) out.push_back(parse_double(key, item));
   if (out.size() == 1) return std::vector<double>(tiers, out.front());
   if (out.size() != tiers) {
     throw std::runtime_error(
         "[tree] " + key + ": expected 1 or " + std::to_string(tiers) +
-        " values (one per tier), got " + std::to_string(items.size()));
+        " values (one per tier), got " + std::to_string(out.size()));
   }
   return out;
 }
@@ -502,11 +468,10 @@ TreeSpec tree_spec_from_ini(const IniDocument& doc) {
     throw std::runtime_error("[tree] fan_out is required");
   }
   std::vector<int> fan_out;
-  for (const auto& item : split_list(*fan_raw)) {
-    const double v = parse_double("fan_out", item);
-    if (v < 1.0 || v != std::floor(v)) {
-      throw std::runtime_error("[tree] fan_out: '" + item +
-                               "' is not a positive integer");
+  for (const std::int64_t v : parse_int_list("[tree] fan_out", *fan_raw)) {
+    if (v < 1 || v > std::numeric_limits<int>::max()) {
+      throw std::runtime_error("[tree] fan_out: " + std::to_string(v) +
+                               " is not a positive integer");
     }
     fan_out.push_back(static_cast<int>(v));
   }

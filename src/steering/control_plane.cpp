@@ -1,7 +1,5 @@
 #include "steering/control_plane.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -9,149 +7,61 @@
 #include <utility>
 
 #include "util/logging.hpp"
+#include "util/wire.hpp"
 
 namespace adaptviz {
 
 namespace {
 
-// ---- exact-round-trip primitives (steering_log.jsonl layer) ----
-//
-// Free-form strings travel percent-encoded so a value never contains a
-// quote, comma, brace or newline; doubles travel as hexfloats, whose
-// alphabet ([0-9a-fx.+-p]) needs no encoding. Both survive the line/JSON
-// layer byte-exactly.
+// Free-form strings travel percent-encoded and doubles as hexfloats
+// (util/wire.hpp), so every value of a log line is a JSON string that needs
+// no escaping and survives the round trip byte-exactly.
+using wire::decode_double;
+using wire::encode_double;
+using wire::percent_decode;
+using wire::percent_encode;
 
-bool unreserved(char c) {
-  return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
-         (c >= '0' && c <= '9') || c == '-' || c == '.' || c == '_' ||
-         c == '~';
-}
-
-std::string percent_encode(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    if (unreserved(static_cast<char>(c))) {
-      out.push_back(static_cast<char>(c));
-    } else {
-      char buf[4];
-      std::snprintf(buf, sizeof buf, "%%%02X", c);
-      out += buf;
-    }
-  }
-  return out;
-}
-
-int hex_nibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-std::string percent_decode(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '%') {
-      out.push_back(s[i]);
-      continue;
-    }
-    if (i + 2 >= s.size()) {
-      throw std::runtime_error("steering log: truncated percent escape in '" +
-                               s + "'");
-    }
-    const int hi = hex_nibble(s[i + 1]);
-    const int lo = hex_nibble(s[i + 2]);
-    if (hi < 0 || lo < 0) {
-      throw std::runtime_error("steering log: bad percent escape in '" + s +
-                               "'");
-    }
-    out.push_back(static_cast<char>(hi * 16 + lo));
-    i += 2;
-  }
-  return out;
-}
-
-std::string hex_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
-double parse_double(const std::string& s) {
-  if (s.empty()) throw std::runtime_error("steering log: empty number");
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
-    throw std::runtime_error("steering log: malformed number '" + s + "'");
-  }
-  return v;
-}
-
-/// Minimal writer for the flat all-strings JSON object a log line is.
+/// Writer for the flat all-strings JSON object a log line is.
 class LineWriter {
  public:
   void raw(const char* key, const std::string& value) {
-    out_ += out_.empty() ? "{\"" : ",\"";
-    out_ += key;
-    out_ += "\":\"";
-    out_ += value;
-    out_ += '"';
+    out_ += out_.empty() ? '{' : ',';
+    out_ += wire::json_quote(key);
+    out_ += ':';
+    out_ += wire::json_quote(value);
   }
   void str(const char* key, const std::string& value) {
     raw(key, percent_encode(value));
   }
-  void num(const char* key, double value) { raw(key, hex_double(value)); }
+  void num(const char* key, double value) { raw(key, encode_double(value)); }
   [[nodiscard]] std::string finish() { return out_ + "}"; }
 
  private:
   std::string out_;
 };
 
-/// Parses `{"k":"v",...}` into a key→value map. Values are the raw
-/// (still-encoded) strings; keys must be unique.
+/// Parses one log line into a key -> raw (still-encoded) value map. The
+/// line must be a JSON object whose values are all strings; the reader
+/// already rejects duplicate keys.
 std::map<std::string, std::string> parse_line(const std::string& line) {
+  wire::JsonValue root;
+  try {
+    root = wire::parse_json(line);
+  } catch (const wire::WireError& e) {
+    throw std::runtime_error(std::string("steering log: ") + e.what() +
+                             " in '" + line + "'");
+  }
+  if (root.kind != wire::JsonValue::Kind::kObject) {
+    throw std::runtime_error("steering log: not a JSON object: '" + line +
+                             "'");
+  }
   std::map<std::string, std::string> out;
-  std::size_t i = 0;
-  auto fail = [&](const std::string& why) {
-    throw std::runtime_error("steering log: " + why + " in '" + line + "'");
-  };
-  auto skip_ws = [&] {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-  };
-  skip_ws();
-  if (i >= line.size() || line[i] != '{') fail("missing '{'");
-  ++i;
-  skip_ws();
-  if (i < line.size() && line[i] == '}') return out;  // empty object
-  while (true) {
-    skip_ws();
-    // "key"
-    if (i >= line.size() || line[i] != '"') fail("expected key quote");
-    const std::size_t key_start = ++i;
-    while (i < line.size() && line[i] != '"') ++i;
-    if (i >= line.size()) fail("unterminated key");
-    const std::string key = line.substr(key_start, i - key_start);
-    ++i;
-    skip_ws();
-    if (i >= line.size() || line[i] != ':') fail("expected ':'");
-    ++i;
-    skip_ws();
-    if (i >= line.size() || line[i] != '"') fail("expected value quote");
-    const std::size_t val_start = ++i;
-    while (i < line.size() && line[i] != '"') ++i;
-    if (i >= line.size()) fail("unterminated value");
-    const std::string value = line.substr(val_start, i - val_start);
-    ++i;
-    if (!out.emplace(key, value).second) fail("duplicate key '" + key + "'");
-    skip_ws();
-    if (i < line.size() && line[i] == ',') {
-      ++i;
-      continue;
+  for (auto& [key, value] : root.object) {
+    if (value.kind != wire::JsonValue::Kind::kString) {
+      throw std::runtime_error("steering log: non-string value for '" + key +
+                               "' in '" + line + "'");
     }
-    if (i < line.size() && line[i] == '}') break;
-    fail("expected ',' or '}'");
+    out.emplace(key, std::move(value.string));
   }
   return out;
 }
@@ -198,8 +108,9 @@ std::string view_key(const ViewCommand& view) {
   }
   // Hexfloats: views equal bit-for-bit share a render, nothing else does.
   return percent_encode(view.field) + "/" + percent_encode(view.colormap) +
-         "/" + hex_double(view.zoom) + "/" + hex_double(view.center_lat) +
-         "/" + hex_double(view.center_lon);
+         "/" + encode_double(view.zoom) + "/" +
+         encode_double(view.center_lat) + "/" +
+         encode_double(view.center_lon);
 }
 
 void validate(const KnobProposal& proposal) {
@@ -331,39 +242,39 @@ SteeringEvent steering_event_from_jsonl(const std::string& line) {
     return v;
   };
   SteeringEvent e;
-  e.wall = WallSeconds(parse_double(take("wall")));
+  e.wall = WallSeconds(decode_double(take("wall")));
   e.client = percent_decode(take("client"));
   e.type = steering_event_type_from(take("type"));
   switch (e.type) {
     case SteeringEvent::Type::kCommand:
       e.command.kind = command_kind_from(take("kind"));
       e.command.bounds.min_output_interval =
-          SimSeconds(parse_double(take("bounds_min_s")));
+          SimSeconds(decode_double(take("bounds_min_s")));
       e.command.bounds.max_output_interval =
-          SimSeconds(parse_double(take("bounds_max_s")));
-      e.command.resolution_floor_km = parse_double(take("floor_km"));
-      e.command.nest_extent_deg = parse_double(take("nest_deg"));
+          SimSeconds(decode_double(take("bounds_max_s")));
+      e.command.resolution_floor_km = decode_double(take("floor_km"));
+      e.command.nest_extent_deg = decode_double(take("nest_deg"));
       e.command.auto_resume_after =
-          WallSeconds(parse_double(take("auto_resume_s")));
+          WallSeconds(decode_double(take("auto_resume_s")));
       e.command.reason = percent_decode(take("reason"));
       break;
     case SteeringEvent::Type::kView:
       e.view.field = percent_decode(take("field"));
       e.view.colormap = percent_decode(take("colormap"));
-      e.view.zoom = parse_double(take("zoom"));
-      e.view.center_lat = parse_double(take("lat"));
-      e.view.center_lon = parse_double(take("lon"));
+      e.view.zoom = decode_double(take("zoom"));
+      e.view.center_lat = decode_double(take("lat"));
+      e.view.center_lon = decode_double(take("lon"));
       break;
     case SteeringEvent::Type::kProposal:
       e.proposal.max_output_interval =
-          SimSeconds(parse_double(take("max_oi_s")));
-      e.proposal.resolution_floor_km = parse_double(take("floor_km"));
+          SimSeconds(decode_double(take("max_oi_s")));
+      e.proposal.resolution_floor_km = decode_double(take("floor_km"));
       e.proposal.reason = percent_decode(take("reason"));
       break;
     case SteeringEvent::Type::kAttach:
       e.attach.mode = take("mode");
-      e.attach.downlink_mbps = parse_double(take("downlink_mbps"));
-      e.attach.catchup_start_hours = parse_double(take("catchup_start_h"));
+      e.attach.downlink_mbps = decode_double(take("downlink_mbps"));
+      e.attach.catchup_start_hours = decode_double(take("catchup_start_h"));
       break;
     case SteeringEvent::Type::kDetach:
       break;

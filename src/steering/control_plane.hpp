@@ -213,9 +213,13 @@ class LocalControlPlane : public ControlPlane {
   void observe(RunId run, const SteeringObservation& obs) override;
   std::vector<SteeringEvent> drain(RunId, WallSeconds) override { return {}; }
 
-  /// Convenience for command senders (the SteeringChannel shim and the
-  /// in-run policy): wraps `command` in a kCommand event and steers it
-  /// `extra_delay` from now (plus the channel latency).
+  /// Convenience for command senders (the in-run policy): wraps `command`
+  /// in a kCommand event and delivers it `extra_delay` from now plus the
+  /// channel latency, never before an earlier delivery. A positive delay
+  /// lets a policy schedule its own follow-up ("pause now, resume in two
+  /// hours") without another frame to react to. Throws
+  /// std::invalid_argument on a malformed command (see validate()) or a
+  /// negative `extra_delay`; a rejected command is not counted as sent.
   void send_command(SteeringCommand command,
                     WallSeconds extra_delay = WallSeconds(0.0));
 

@@ -1,9 +1,6 @@
 #include "steering/steering.hpp"
 
 #include <stdexcept>
-#include <utility>
-
-#include "steering/control_plane.hpp"
 
 namespace adaptviz {
 
@@ -57,37 +54,6 @@ void validate(const SteeringCommand& command) {
     case SteeringCommand::Kind::kResume:
       break;
   }
-}
-
-SteeringChannel::SteeringChannel(EventQueue& queue, WallSeconds latency,
-                                 Handler handler)
-    : handler_(std::move(handler)) {
-  if (!handler_) throw std::invalid_argument("SteeringChannel: null handler");
-  if (latency.seconds() < 0) {
-    throw std::invalid_argument("SteeringChannel: negative latency");
-  }
-  plane_ = std::make_unique<LocalControlPlane>(
-      queue, latency, [this](const SteeringEvent& event) {
-        ++delivered_;
-        handler_(event.command);
-      });
-}
-
-SteeringChannel::~SteeringChannel() = default;
-
-void SteeringChannel::send(SteeringCommand command) {
-  send_after(WallSeconds(0.0), std::move(command));
-}
-
-void SteeringChannel::send_after(WallSeconds extra_delay,
-                                 SteeringCommand command) {
-  if (extra_delay.seconds() < 0) {
-    throw std::invalid_argument("SteeringChannel: negative delay");
-  }
-  // Counted only once the plane accepts it: a command rejected by
-  // validation was never sent.
-  plane_->send_command(std::move(command), extra_delay);
-  ++sent_;
 }
 
 }  // namespace adaptviz

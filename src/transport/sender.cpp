@@ -42,13 +42,6 @@ FrameSender::FrameSender(EventQueue& queue, NetworkLink& link,
   }
 }
 
-FrameSender::FrameSender(EventQueue& queue, NetworkLink& link,
-                         FrameCatalog& catalog, DiskModel& disk,
-                         BandwidthEstimator& estimator, DeliveryFn deliver,
-                         WallSeconds poll_interval)
-    : FrameSender(queue, link, catalog, disk, estimator, std::move(deliver),
-                  Options{.poll_interval = poll_interval}) {}
-
 void FrameSender::start() {
   if (running_) return;
   running_ = true;

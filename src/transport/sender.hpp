@@ -64,12 +64,6 @@ class FrameSender {
               DiskModel& disk, BandwidthEstimator& estimator,
               DeliveryFn deliver, Options options);
 
-  /// Legacy convenience: default retry policy, custom poll interval.
-  FrameSender(EventQueue& queue, NetworkLink& link, FrameCatalog& catalog,
-              DiskModel& disk, BandwidthEstimator& estimator,
-              DeliveryFn deliver,
-              WallSeconds poll_interval = WallSeconds(10.0));
-
   /// Starts the daemon loop (idempotent).
   void start();
   /// Stops the daemon. An in-flight transfer is abandoned: when its

@@ -1,7 +1,12 @@
 #include "util/string_util.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
+#include <utility>
 
 namespace adaptviz {
 
@@ -24,6 +29,48 @@ std::vector<std::string> split(const std::string& s, char sep) {
     }
     out.push_back(s.substr(start, pos - start));
     start = pos + 1;
+  }
+  return out;
+}
+
+std::vector<std::string> split_list(const std::string& s) {
+  std::vector<std::string> out;
+  for (const std::string& part : split(s, ',')) {
+    std::string item = trim(part);
+    if (!item.empty()) out.push_back(std::move(item));
+  }
+  return out;
+}
+
+std::int64_t parse_int(const std::string& what, const std::string& s) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(s.c_str(), &end, 10);
+  if (end == s.c_str() || *end != '\0' || errno == ERANGE) {
+    throw std::runtime_error(what + ": malformed integer '" + s + "'");
+  }
+  return v;
+}
+
+std::vector<double> parse_double_list(const std::string& what,
+                                      const std::string& s) {
+  std::vector<double> out;
+  for (const std::string& item : split_list(s)) {
+    char* end = nullptr;
+    const double v = std::strtod(item.c_str(), &end);
+    if (*end != '\0' || !std::isfinite(v)) {
+      throw std::runtime_error(what + ": malformed number '" + item + "'");
+    }
+    out.push_back(v);
+  }
+  return out;
+}
+
+std::vector<std::int64_t> parse_int_list(const std::string& what,
+                                         const std::string& s) {
+  std::vector<std::int64_t> out;
+  for (const std::string& item : split_list(s)) {
+    out.push_back(parse_int(what, item));
   }
   return out;
 }

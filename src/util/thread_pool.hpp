@@ -11,8 +11,7 @@
 //
 // Scheduling:
 //  * parallel_for — static: the range is cut into exactly
-//    min(threads, n) contiguous bands of ceil(n/W) rows, the same
-//    partition the old spawn-per-call parallel_for_rows used. Each band
+//    min(threads, n) contiguous bands of ceil(n/W) rows. Each band
 //    is claimed once; which worker runs which band is unspecified, but
 //    bands are disjoint and the boundaries depend only on (range,
 //    threads), so results are bitwise identical to the serial loop for

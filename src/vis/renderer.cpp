@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "util/parallel_for.hpp"
+#include "util/thread_pool.hpp"
 #include "vis/contour.hpp"
 #include "vis/streamlines.hpp"
 #include "vis/volume.hpp"
@@ -123,7 +123,7 @@ Image FrameRenderer::render(const NclFile& frame,
   // needed, and no threads spawned per frame.
   {
     obs::ScopedSpan base_span("vis.render.base");
-    parallel_for_rows(0, h, options_.threads, render_rows);
+    ThreadPool::shared().parallel_for(0, h, options_.threads, render_rows);
   }
 
   // --- Contours of the parent field ---

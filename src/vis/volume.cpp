@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "obs/obs.hpp"
-#include "util/parallel_for.hpp"
+#include "util/thread_pool.hpp"
 
 namespace adaptviz {
 
@@ -108,7 +108,8 @@ void composite_volume(Image& image, const VolumeGrid& volume,
     }
   }
   };  // composite_rows
-  parallel_for_rows(0, image.height(), threads, composite_rows);
+  ThreadPool::shared().parallel_for(0, image.height(), threads,
+                                    composite_rows);
 }
 
 }  // namespace adaptviz

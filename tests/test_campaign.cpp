@@ -299,6 +299,16 @@ TEST(CampaignIni, RejectsMalformedDocuments) {
   EXPECT_THROW((void)campaign_from_ini(
                    IniDocument::parse("[campaign]\nconcurrency = 0\n")),
                std::runtime_error);
+  // Number lists are strict: trailing junk, non-finite values and
+  // non-integer seeds/vis_workers are rejected, never truncated or cast.
+  for (const char* row : {"disk_gb = 2GB", "disk_gb = nan",
+                          "failure_rates = nan", "decision_period_hours = nan",
+                          "seeds = 7x", "seeds = 1e30", "vis_workers = 1e10"}) {
+    EXPECT_THROW((void)campaign_from_ini(IniDocument::parse(
+                     std::string("[campaign]\n") + row + "\n")),
+                 std::runtime_error)
+        << row;
+  }
 }
 
 // Satellite regression guard: the framework itself is deterministic —

@@ -139,6 +139,27 @@ TEST(DispatchCodec, MalformedLinesThrow) {
   EXPECT_THROW(decode_run_record("label=%ZZ"), std::runtime_error);
   EXPECT_THROW(decode_run_record("seed=notanumber"), std::runtime_error);
   EXPECT_THROW(decode_manifest_entry("files= label=x"), std::runtime_error);
+  EXPECT_THROW(decode_run_record("label=x seed=1 label=y"),
+               std::runtime_error);  // duplicate key
+}
+
+// Earlier builds left ':' and '/' unencoded in labels and file stamps; a
+// manifest they wrote must still resume.
+TEST(DispatchCodec, OlderLinesWithLiteralColonAndSlashStillDecode) {
+  const ManifestEntry e = decode_manifest_entry(
+      "index=3 files=runs/a:b_samples.csv:120,c%20d.csv:7 label=runs/a:b "
+      "seed=7 disk_gb=0x1.9p+6");
+  EXPECT_EQ(e.index, 3u);
+  ASSERT_EQ(e.files.size(), 2u);
+  EXPECT_EQ(e.files[0].path, "runs/a:b_samples.csv");
+  EXPECT_EQ(e.files[0].bytes, 120);
+  EXPECT_EQ(e.files[1].path, "c d.csv");
+  EXPECT_EQ(e.record.label, "runs/a:b");
+  EXPECT_EQ(e.record.seed, 7u);
+  EXPECT_EQ(e.record.disk_gb, 100.0);
+  // The current writer escapes both, so the line splits the same way.
+  EXPECT_EQ(encode_manifest_entry(e).rfind("index=3 files=runs%2Fa%3Ab", 0),
+            0u);
 }
 
 // ---- manifest document ----
@@ -169,6 +190,20 @@ TEST(CampaignManifest, JsonRoundTripsAndLoadNeverThrows) {
                    .has_value());
   std::ofstream(dir / "torn.json") << "{\"version\": 1, \"campaign";
   EXPECT_FALSE(CampaignManifest::load((dir / "torn.json").string())
+                   .has_value());
+  // Hostile files: a duplicate key, a non-count index, and 1 MB of '['
+  // (which once overflowed the reader's stack).
+  std::ofstream(dir / "dup.json")
+      << R"({"version": 1, "campaign": "a", "campaign": "b", "grid": 1,)"
+      << R"( "runs": []})";
+  EXPECT_FALSE(CampaignManifest::load((dir / "dup.json").string())
+                   .has_value());
+  std::ofstream(dir / "neg.json")
+      << R"({"version": 1, "campaign": "a", "grid": -1e300, "runs": []})";
+  EXPECT_FALSE(CampaignManifest::load((dir / "neg.json").string())
+                   .has_value());
+  std::ofstream(dir / "deep.json") << std::string(1 << 20, '[');
+  EXPECT_FALSE(CampaignManifest::load((dir / "deep.json").string())
                    .has_value());
 
   m.save((dir / "m.json").string());

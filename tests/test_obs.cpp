@@ -207,24 +207,31 @@ TEST(ObsInstall, HelpersNoopWhenNothingInstalled) {
   EXPECT_EQ(current(), nullptr);
 }
 
-// Golden test for the deprecated ScopedObservability shim: the only
-// remaining in-tree user. Everything else installs a RunContext directly.
+// Run contexts nest per thread: each scope installs its bundle and the
+// enclosing context comes back when the scope ends.
 TEST(ObsInstall, ScopedInstallAndNestedRestore) {
   ASSERT_EQ(current(), nullptr);
   Observability outer;
   {
-    ScopedObservability s1(&outer);
+    RunContext outer_ctx;
+    outer_ctx.observability = &outer;
+    ScopedRunContext s1(&outer_ctx);
     EXPECT_EQ(current(), &outer);
     Observability inner;
     {
-      ScopedObservability s2(&inner);
+      RunContext inner_ctx;
+      inner_ctx.observability = &inner;
+      ScopedRunContext s2(&inner_ctx);
+      EXPECT_EQ(current_run_context(), &inner_ctx);
       EXPECT_EQ(current(), &inner);
       count("hit");
     }
+    EXPECT_EQ(current_run_context(), &outer_ctx);
     EXPECT_EQ(current(), &outer);
     count("hit");
     EXPECT_EQ(inner.metrics().snapshot().counter_or("hit"), 1);
   }
+  EXPECT_EQ(current_run_context(), nullptr);
   EXPECT_EQ(current(), nullptr);
   EXPECT_EQ(outer.metrics().snapshot().counter_or("hit"), 1);
 }
